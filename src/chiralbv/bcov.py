@@ -318,7 +318,7 @@ def bcov_mc_report(tmax: int, wmax: int, solution: Optional[FedosovSolution] = N
     system, tbl = make_bcov(max(wmax, 1))
     bg = BackgroundSubstitution(kmax=max(wmax, 1))
     delta = delta_bcov(system)
-    I = restrict_index_weight(phi(sol.j(), system, bg).part(0), wmax)
+    I = phi(sol.j(), system, bg, wmax=wmax).part(0)
     br = nth_product(I, 0, I, tbl).scale(Fraction(PHI_BRACKET_ORIENTATION, 2))
     raw = restrict_index_weight(delta(I) + br, wmax)
     raw_nf = mode_normal_form(ModeElement.zero_mode(raw)).part(0)

@@ -11,9 +11,9 @@ Subcommands mirror the package's verification surfaces:
     chiralbv props [--cases N] [--seed S]
 
 Every run emits a versioned JSON report (schema "1"); the exit code is 0
-iff every check passed, 2 on usage errors, 3 on truncation-budget
-overflow.  Reports are byte-identical across thread counts apart from the
-wall_time_s field.
+iff every check passed, 2 on usage errors and malformed input files, 3 on
+truncation-budget overflow.  Reports are byte-identical across thread
+counts apart from the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .algebra import BudgetError, DiffPoly
-from .vertex import ModeElement
+from .vertex import ModeElement, mode_normal_form
 from . import moyal
 from . import bcov as bcov_mod
 from . import psm as psm_mod
@@ -43,6 +43,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 SCHEMA = "1"
+
+
+class InputError(Exception):
+    """An input file that cannot be read or does not describe a valid object."""
+
+
+def _load(path: str, parse):
+    """parse(json content of path); every defect of the file is an InputError."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise InputError(f"{path}: {msg}") from None
 
 
 def _thread_count(args) -> int:
@@ -137,9 +151,7 @@ def cmd_bcov_verify(args) -> int:
     def check_integrality() -> dict:
         system, _ = make_bcov(max(args.tmax, 1))
         bg = BackgroundSubstitution(kmax=max(args.tmax, 1))
-        from .vertex import mode_normal_form
-        from .correspondence import restrict_index_weight
-        image = restrict_index_weight(phi_map(sol.j(), system, bg).part(0), args.tmax)
+        image = phi_map(sol.j(), system, bg, wmax=args.tmax).part(0)
         nf = mode_normal_form(ModeElement.zero_mode(image)).part(0)
         even = all(sum(dg.dz for dg in w) % 2 == 0 for (w, _) in nf._terms)
         ok = even
@@ -163,8 +175,7 @@ def cmd_bcov_verify(args) -> int:
 def cmd_phi(args) -> int:
     started = time.time()
     bsys = moyal.make_b_system()
-    with open(args.infile) as fh:
-        J = DiffPoly.from_obj(bsys, json.load(fh))
+    J = _load(args.infile, lambda obj: DiffPoly.from_obj(bsys, obj))
     kmax_bg = args.bg_kmax
     system, _ = make_bcov(kmax_bg)
     bg = BackgroundSubstitution(kmax=kmax_bg)
@@ -195,14 +206,20 @@ def cmd_w_commute(args) -> int:
 
 def cmd_psm_check(args) -> int:
     started = time.time()
-    with open(args.poisson) as fh:
-        P = psm_mod.PoissonBivector.from_obj(json.load(fh))
-    residual = psm_mod.psm_mc_check(P, args.degmax)
-    jacobi = P.is_jacobi(args.degmax)
+    P = _load(args.poisson, psm_mod.PoissonBivector.from_obj)
+    built = psm_mod.build_psm(P, args.degmax)
+    residual = psm_mod.psm_mc_check(P, args.degmax, built=built)
+    # the interaction keeps P up to polynomial degree degmax - 2, and its
+    # residual carries that part's whole obstruction (degree <= 2*degmax - 5)
+    carried = P.truncated(args.degmax - 2)
+    jacobi = carried.is_jacobi()
+    tri = psm_mod.trivector_functional(carried, built[0], 2 * args.degmax)
+    obstruction = mode_normal_form(ModeElement.zero_mode(tri)).scale(Fraction(4))
     lam_ok = all(l == 0 for p in residual.parts.values() for (_, l) in p._terms)
     checks = [
         {"name": "residual-zero-iff-jacobi", "pass": residual.is_zero() == jacobi,
          "detail": {"jacobi": jacobi, "residual_zero": residual.is_zero()}},
+        {"name": "residual-equals-obstruction", "pass": (residual - obstruction).is_zero()},
         {"name": "no-quantum-sectors", "pass": lam_ok},
     ]
     rep = _report("psm check", {"poisson": args.poisson, "degmax": args.degmax}, checks,
@@ -309,6 +326,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except BudgetError as exc:
         print(f"budget overflow: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -11,6 +11,11 @@ exp((1/2) Dz Dt), extracts t-residues and pairs the coefficient of t^k with
 W^(k+1)/(k+1).  With the background series truncated at generator index
 kmax, the image is exact on every output monomial whose generator-index
 weight does not exceed the truncation, which is what all cross-checks use.
+
+Index weight adds across products, the shift and W^(k) (a polynomial in
+b0, of weight 0) keep it, and a substituted factor at t-degree d with
+t-derivative order j weighs d + j >= 1.  So ``phi(..., wmax=w)`` builds
+only the terms of weight <= w instead of filtering them out afterwards.
 """
 
 from __future__ import annotations
@@ -115,26 +120,42 @@ def _tpoly_add(system: System, a: TPoly, b: TPoly) -> TPoly:
     return {d: p for d, p in out.items() if not p.is_zero()}
 
 
-def _tpoly_mul(system: System, a: TPoly, b: TPoly) -> TPoly:
+def _tpoly_mul(system: System, a: TPoly, b: TPoly, dmax: Optional[int] = None) -> TPoly:
+    """Product of t-polynomials, dropping t-degrees above ``dmax`` when set."""
     out: TPoly = {}
     for da, pa in a.items():
         for db, pb in b.items():
             d = da + db
+            if dmax is not None and d > dmax:
+                continue
             out[d] = out.get(d, system.zero()) + pa.mul(pb)
     return {d: p for d, p in out.items() if not p.is_zero()}
 
 
-def substitute_background(J: DiffPoly, system: System, bg: BackgroundSubstitution) -> TPoly:
+def substitute_background(
+    J: DiffPoly,
+    system: System,
+    bg: BackgroundSubstitution,
+    wmax: Optional[int] = None,
+) -> TPoly:
     """Replace Moyal generators by their background t-series.
 
     The result is a polynomial in t with vertex-side coefficients; it is
     exact on all monomials involving only generators of index <= bg.kmax.
+    With ``wmax`` set, only terms of index weight <= wmax are built: a
+    monomial with total t-derivative order s yields weight d + s at
+    t-degree d, and each of its factors weighs at least 1.
     """
     out: TPoly = {}
     for (word, lam), c in J._terms.items():
+        dmax = None
+        if wmax is not None:
+            if len(word) > wmax:
+                continue
+            dmax = wmax - sum(dg.dt for dg in word)
         term: TPoly = {0: system.one(coef=c, lam=lam)}
         for dg in word:
-            term = _tpoly_mul(system, term, bg.factor_series(system, dg))
+            term = _tpoly_mul(system, term, bg.factor_series(system, dg), dmax)
             if not term:
                 break
         out = _tpoly_add(system, out, term)
@@ -170,14 +191,18 @@ def phi(
     system: System,
     bg: BackgroundSubstitution,
     kmax: Optional[int] = None,
+    wmax: Optional[int] = None,
 ) -> ModeElement:
     """Phi(J) = sum_k (1/(k+1)) [ W^(k+1)(b0) * (t^k residue of shifted J) ] z^0.
 
     ``kmax`` bounds the W-sum; when omitted it is taken as the maximal
     t-degree present after substitution (which makes the sum exact).  A
     kmax below that degree raises BudgetError rather than truncating.
+    ``wmax`` restricts the image to index weight <= wmax, equal term for
+    term to ``restrict_index_weight(phi(J, ...).part(0), wmax)``; terms
+    above the window are never built.
     """
-    sub = substitute_background(J, system, bg)
+    sub = substitute_background(J, system, bg, wmax)
     shifted = shift_exp_t(sub, system)
     needed = max(shifted, default=0)
     if kmax is None:
@@ -224,10 +249,11 @@ def morphism_defect(J1: DiffPoly, J2: DiffPoly, system: System, tbl, wmax: int) 
     from .moyal import star_bracket
 
     bg = BackgroundSubstitution(kmax=wmax)
-    lhs = phi(star_bracket(J1, J2, wmax, strict=False), system, bg).part(0)
-    p1 = restrict_index_weight(phi(J1, system, bg).part(0), wmax)
-    p2 = restrict_index_weight(phi(J2, system, bg).part(0), wmax)
+    lhs = phi(star_bracket(J1, J2, wmax, strict=False), system, bg, wmax=wmax).part(0)
+    p1 = phi(J1, system, bg, wmax=wmax).part(0)
+    p2 = phi(J2, system, bg, wmax=wmax).part(0)
     rhs = nth_product(p1, 0, p2, tbl).scale(Fraction(PHI_BRACKET_ORIENTATION))
+    # the 0-th product of two window elements reaches weight > wmax
     diff = restrict_index_weight(lhs - rhs, wmax)
     nf = mode_normal_form(ModeElement(system, {0: diff}))
     defect = nf.part(0)

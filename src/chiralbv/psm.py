@@ -110,6 +110,14 @@ class PoissonBivector:
                 return False
         return True
 
+    def truncated(self, deg_max: int) -> "PoissonBivector":
+        """The terms of polynomial degree <= deg_max; build_psm(P, D) carries
+        exactly P.truncated(D - 2)."""
+        return PoissonBivector(self.dim, {
+            ij: {e: c for e, c in poly.items() if sum(e) <= deg_max}
+            for ij, poly in self.entries.items()
+        })
+
     def to_obj(self) -> dict:
         ent = []
         for (i, j), poly in sorted(self.entries.items()):
@@ -218,9 +226,10 @@ def psm_mc_check(
 ) -> ModeElement:
     """Normal form of the Maurer-Cartan residual of the built interaction.
 
-    Exactly zero iff [P,P] vanishes through deg_max; the residual is always
-    free of nonzero lam-powers (multi-contraction sectors cancel by form
-    degree).
+    The interaction carries P.truncated(deg_max - 2), and the residual is
+    4 x NF of that part's whole trivector functional: exactly zero iff the
+    carried part satisfies the Jacobi identity.  It is always free of
+    nonzero lam-powers (multi-contraction sectors cancel by form degree).
     """
     system, tbl, I = built if built is not None else build_psm(P, deg_max)
     delta = psm_delta(system, P.dim)
@@ -229,8 +238,9 @@ def psm_mc_check(
 
 def trivector_functional(P: PoissonBivector, system: System, deg_max: int) -> DiffPoly:
     """dz-component of sum_{i<j<k} T^{ijk}(phi) eta_i eta_j eta_k for the
-    Schouten obstruction T = [P,P]/2; the independent comparison target for
-    non-Jacobi controls."""
+    Schouten obstruction T = [P,P]/2, keeping the terms of T of polynomial
+    degree <= deg_max - 2; the independent comparison target for non-Jacobi
+    controls."""
     n = P.dim
     phis = [_superfield(system, "phi", "phiw", i) for i in range(n)]
     etas = [_superfield(system, "eta", "etaw", i) for i in range(n)]

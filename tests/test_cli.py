@@ -74,6 +74,57 @@ def test_psm_check_pass_and_fail(tmp_path):
     assert detail == {"jacobi": False, "residual_zero": False}
 
 
+def test_psm_check_perturbed_log_canonical_degmax_3(tmp_path):
+    """At D = 3 the interaction carries only the linear perturbation, which
+    is Poisson on its own; the degree-2 obstruction of the full bivector
+    is beyond the truncation, so the zero residual is correct."""
+    P = {
+        "dim": 3,
+        "entries": [
+            {"i": 0, "j": 1, "exps": [1, 1, 0], "num": 1, "den": 1},
+            {"i": 0, "j": 1, "exps": [0, 0, 1], "num": 1, "den": 1},
+            {"i": 0, "j": 2, "exps": [1, 0, 1], "num": 2, "den": 1},
+            {"i": 1, "j": 2, "exps": [0, 1, 1], "num": 3, "den": 1},
+        ],
+    }
+    p = tmp_path / "lc.json"
+    p.write_text(json.dumps(P))
+    out = tmp_path / "lc-report.json"
+    assert run(["psm", "check", "--poisson", str(p), "--degmax", "3", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["residual-zero-iff-jacobi"]["detail"] == {"jacobi": True, "residual_zero": True}
+    assert checks["residual-equals-obstruction"]["pass"]
+    # at D = 4 the degree-2 obstruction is carried and the residual shows it
+    assert run(["psm", "check", "--poisson", str(p), "--degmax", "4", "--out", str(out)]) == 0
+    detail = next(c for c in json.loads(out.read_text())["checks"]
+                  if c["name"] == "residual-zero-iff-jacobi")["detail"]
+    assert detail == {"jacobi": False, "residual_zero": False}
+
+
+def _assert_input_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+def test_malformed_json_input_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    _assert_input_error(run_cli("phi", "--in", str(bad)))
+    _assert_input_error(run_cli("psm", "check", "--poisson", str(bad), "--degmax", "3"))
+
+
+def test_undeclared_generator_input_exit_2(tmp_path):
+    expr = {"terms": [{"mono": [{"gen": "zz", "k": 0}], "coef": {"num": 1, "den": 1, "lam": 0}}]}
+    infile = tmp_path / "zz.json"
+    infile.write_text(json.dumps(expr))
+    proc = run_cli("phi", "--in", str(infile))
+    _assert_input_error(proc)
+    assert "undeclared generator zz0" in proc.stderr
+
+
 def test_renorm_ucheck(tmp_path):
     out = tmp_path / "r.json"
     assert run(["renorm", "ucheck", "--m", "1", "--k", "0,0", "--out", str(out)]) == 0

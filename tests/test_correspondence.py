@@ -222,3 +222,51 @@ def test_morphism_defect_matches_frozen_cocycle(B, V):
     rep = morphism_defect(B.monomial([bt(B)]), B.monomial([et(B)]), sys_, tbl, 2)
     expect = sys_.monomial([sys_.gen("b", 1, dz=3), sys_.gen("eta", 0)], coef=Fraction(1, 12))
     assert rep["defect"] == expect
+
+
+def test_windowed_phi_equals_filtered_phi(B, V):
+    """phi(..., wmax=w) builds exactly the terms restrict_index_weight keeps,
+    on inputs with dt-carrying factors and monomials longer than the window."""
+    sys_, _ = V
+    bg = BackgroundSubstitution(kmax=3)
+    rng = random.Random(57)
+    seen_dt = seen_long = False
+    for _ in range(25):
+        J = random_bexpr(rng, B, max_T=2, max_degree=3, max_dz=2)
+        seen_dt |= any(dg.dt for (word, _) in J._terms for dg in word)
+        seen_long |= any(len(word) == 3 for (word, _) in J._terms)
+        full = phi(J, sys_, bg).part(0)
+        for w in range(4):
+            assert phi(J, sys_, bg, wmax=w).part(0) == restrict_index_weight(full, w), (J, w)
+    assert seen_dt and seen_long
+
+
+def test_windowed_substitution_drops_over_weight_terms(B, V):
+    sys_, _ = V
+    bg = BackgroundSubstitution(kmax=3)
+    rng = random.Random(59)
+    for _ in range(25):
+        J = random_bexpr(rng, B, max_T=2, max_degree=3, max_dz=2)
+        full = substitute_background(J, sys_, bg)
+        for w in range(4):
+            kept = {d: restrict_index_weight(p, w) for d, p in full.items()}
+            kept = {d: p for d, p in kept.items() if not p.is_zero()}
+            assert substitute_background(J, sys_, bg, wmax=w) == kept, (J, w)
+    # dt bt -> sum_k t^{k-1}/(k-1)! b_k: weight k at t-degree k-1
+    sub = substitute_background(B.monomial([bt(B, dt=1)]), sys_, bg, wmax=2)
+    assert sub == {0: sys_.monomial([sys_.gen("b", 1)]), 1: sys_.monomial([sys_.gen("b", 2)])}
+    # three factors weigh at least 3
+    assert substitute_background(B.monomial([bt(B), bt(B), et(B)]), sys_, bg, wmax=2) == {}
+
+
+def test_windowed_phi_budget_error(B, V):
+    """kmax is checked against the W-sum the windowed image needs."""
+    sys_, _ = V
+    bg = BackgroundSubstitution(kmax=4)
+    J = B.monomial([et(B)])  # weight k at t-degree k: the window 2 needs W^(3)
+    with pytest.raises(BudgetError):
+        phi(J, sys_, bg, kmax=1, wmax=2)
+    with pytest.raises(BudgetError):
+        phi(J, sys_, bg, kmax=2)
+    got = phi(J, sys_, bg, kmax=2, wmax=2).part(0)
+    assert got == restrict_index_weight(phi(J, sys_, bg).part(0), 2)

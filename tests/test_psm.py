@@ -117,3 +117,24 @@ def test_mc_matches_jacobi_truncation_semantics():
     P = so3_bivector()
     r = psm_mc_check(P, 3)
     assert r.is_zero()
+
+
+def test_residual_is_obstruction_of_carried_bivector():
+    """The interaction at degree D carries P.truncated(D - 2); the residual is
+    4 x NF of that part's whole Schouten obstruction, for perturbations of
+    every degree (the obstruction of P itself differs at D = 3 and D = 4)."""
+    e = lambda *ks: tuple(sum(1 for k in ks if k == m) for m in range(3))
+    base = {(0, 1): {e(0, 1): Fraction(1)}, (0, 2): {e(0, 2): Fraction(2)},
+            (1, 2): {e(1, 2): Fraction(3)}}
+    for pert in ((), (2,), (0, 2)):
+        entries = {ij: dict(poly) for ij, poly in base.items()}
+        entries[(0, 1)][e(*pert)] = Fraction(1)
+        P = PoissonBivector(3, entries)
+        for D in (3, 4):
+            built = build_psm(P, D)
+            residual = psm_mc_check(P, D, built=built)
+            carried = P.truncated(D - 2)
+            tri = trivector_functional(carried, built[0], 2 * D)
+            oracle = mode_normal_form(ModeElement.zero_mode(tri)).scale(Fraction(4))
+            assert (residual - oracle).is_zero(), (pert, D)
+            assert residual.is_zero() == carried.is_jacobi(), (pert, D)
