@@ -74,11 +74,16 @@ from .psm import (
     non_jacobi_bivector,
     so3_bivector,
 )
-from .renorm import (
-    OrderedIntegralSpec,
-    oracle_ordered_integral,
-    ordered_integral,
-    residue_identity_report,
-)
 
 __version__ = "0.1.0"
+
+# chiralbv.renorm needs scipy, which dominates the import time; load it on first use.
+_RENORM_NAMES = ("OrderedIntegralSpec", "oracle_ordered_integral", "ordered_integral", "residue_identity_report")
+
+
+def __getattr__(name):
+    if name in _RENORM_NAMES:
+        from . import renorm
+
+        return getattr(renorm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

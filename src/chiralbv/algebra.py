@@ -186,6 +186,11 @@ class System:
             if g.key in self._gens:
                 raise ValueError(f"duplicate generator id {g.name}{g.index}")
             self._gens[g.key] = g
+        # the declaration as plain ints and strings, shared by systems declared
+        # alike and cheap to hash as a cache key
+        self.signature = (species, tuple(sorted(
+            (g.name, g.index, g.parity, g.deg, g.cw.numerator, g.cw.denominator) for g in self._gens.values()
+        )))
 
     def generators(self) -> List[Generator]:
         return list(self._gens.values())
@@ -598,14 +603,17 @@ def _enumerate_slice(system: System, profile: Tuple[Tuple[str, int, int], ...], 
     return sorted(set(words), key=lambda w: tuple(map(_dg_sort_key, w)))
 
 
-@lru_cache(maxsize=None)
-def _slice_reduction(system: System, profile: Tuple[Tuple[str, int, int], ...], total_dz: int):
-    """Row-reduced image of T on a graded slice.
+@lru_cache(maxsize=1024)
+def _slice_reduction(signature, profile: Tuple[Tuple[str, int, int], ...], total_dz: int):
+    """Row-reduced image of T on a graded slice of the system declared by ``signature``.
 
     Returns (basis_index, rows) where each row is
     (pivot_column, {column: coef}, {preimage_word: coef}) and rows are in
-    reduced echelon form with respect to the canonical column order.
+    reduced echelon form with respect to the canonical column order.  Keyed
+    by the declared generators, so systems declared alike share entries.
     """
+    species, declared = signature
+    system = System(species, (Generator(n, i, p, d, Fraction(num, den)) for n, i, p, d, num, den in declared))
     basis = _enumerate_slice(system, profile, total_dz)
     basis_index = {w: i for i, w in enumerate(basis)}
     pre_basis = _enumerate_slice(system, profile, total_dz - 1) if total_dz > 0 else []
@@ -682,7 +690,7 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
     c_terms: Dict[TermKey, Fraction] = {}
     h_terms: Dict[TermKey, Fraction] = {}
     for (profile, dzsum, lam), vec_by_word in groups.items():
-        basis_index, rows = _slice_reduction(sys_, profile, dzsum)
+        basis_index, rows = _slice_reduction(sys_.signature, profile, dzsum)
         vec = {basis_index[w]: c for w, c in vec_by_word.items()}
         inv_index = {i: w for w, i in basis_index.items()}
         for piv, rvec, rcombo in rows:

@@ -32,7 +32,6 @@ from .vertex import ModeElement, mode_normal_form
 from . import moyal
 from . import bcov as bcov_mod
 from . import psm as psm_mod
-from . import renorm
 from .correspondence import BackgroundSubstitution, phi as phi_map
 from .properties import ALL_SUITES
 from .vertex import make_bcov
@@ -228,6 +227,8 @@ def cmd_psm_check(args) -> int:
 
 
 def cmd_renorm_ucheck(args) -> int:
+    from . import renorm  # scipy; imported only for this command
+
     started = time.time()
     ks = [int(x) for x in args.k.split(",")]
     r = renorm.residue_identity_report(args.m, ks)

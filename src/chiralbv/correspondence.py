@@ -239,7 +239,10 @@ def morphism_defect(J1: DiffPoly, J2: DiffPoly, system: System, tbl, wmax: int) 
     Both sides are exact on output monomials of descendant-index weight
     <= wmax when the star bracket is truncated at T <= wmax and the
     background series at generator index wmax (a T-level-T term only
-    produces weight >= T, and b0-contractions preserve the weight).
+    produces weight >= T, and b0-contractions preserve the weight).  The
+    0-th product therefore pairs each weight-w slice of phi(J1) only with
+    the weight <= wmax - w part of phi(J2); ``tbl`` must contract only
+    generators of index weight 0, or ValueError is raised.
 
     The returned report decomposes the defect into its dynamical part and
     the pure-background (central) part; a nonzero defect is expected to be
@@ -248,13 +251,27 @@ def morphism_defect(J1: DiffPoly, J2: DiffPoly, system: System, tbl, wmax: int) 
     from .vertex import ModeElement, mode_normal_form, nth_product
     from .moyal import star_bracket
 
+    for a, b in tbl._table:
+        for name, index in (a, b):
+            if index_weight((DerivedGenerator(name, index, 0, 0),)):
+                raise ValueError(
+                    f"morphism_defect needs weight-0 contractions, but the table contracts {name}{index}"
+                )
     bg = BackgroundSubstitution(kmax=wmax)
     lhs = phi(star_bracket(J1, J2, wmax, strict=False), system, bg, wmax=wmax).part(0)
     p1 = phi(J1, system, bg, wmax=wmax).part(0)
     p2 = phi(J2, system, bg, wmax=wmax).part(0)
-    rhs = nth_product(p1, 0, p2, tbl).scale(Fraction(PHI_BRACKET_ORIENTATION))
-    # the 0-th product of two window elements reaches weight > wmax
-    diff = restrict_index_weight(lhs - rhs, wmax)
+    slices: Dict[int, dict] = {}
+    for key, c in p1._terms.items():
+        slices.setdefault(index_weight(key[0]), {})[key] = c
+    rhs = sum(
+        (
+            nth_product(DiffPoly(system, terms), 0, restrict_index_weight(p2, wmax - w1), tbl)
+            for w1, terms in sorted(slices.items())
+        ),
+        system.zero(),
+    )
+    diff = lhs - rhs.scale(Fraction(PHI_BRACKET_ORIENTATION))
     nf = mode_normal_form(ModeElement(system, {0: diff}))
     defect = nf.part(0)
     central = defect.filter(lambda w, l: all(dg.name != "b" or dg.index > 0 for dg in w))

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from itertools import groupby
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     Derivation,
@@ -22,7 +24,7 @@ from .algebra import (
     Generator,
     Scalar,
     System,
-    Word,
+    TermKey,
     _sort_word,
     ibp_decompose,
 )
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 BaseKey = Tuple[str, int]
+PoleMap = Dict[Tuple[int, int], Fraction]  # (pole order, lam power) -> coefficient
+Group = Tuple[DerivedGenerator, int, int]  # a factor, its multiplicity in a word, its parity
+Classes = Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], PoleMap]  # used counts -> pole map
 
 
 class ContractionTable:
@@ -79,6 +84,7 @@ class ContractionTable:
                     raise ValueError(f"contraction table breaks graded symmetry at {a},{b} pole {k}")
         self._table = table
         self.max_pole = max((k for poles in table.values() for k in poles), default=0)
+        self._powers: Dict[Tuple[DerivedGenerator, DerivedGenerator, int], PoleMap] = {}
 
     @staticmethod
     def _merge(table, key, poles: Dict[int, Scalar]):
@@ -92,6 +98,27 @@ class ContractionTable:
 
     def entry(self, a: BaseKey, b: BaseKey) -> Dict[int, Scalar]:
         return self._table.get((a, b), {})
+
+    def pole_power(self, a: DerivedGenerator, b: DerivedGenerator, k: int) -> PoleMap:
+        """The k-th convolution power of the contraction of derived a with b.
+
+        Empty when the base generators do not contract.  Computed once per
+        table and kept in a plain dict: the keys are bounded by the derived
+        generators the table meets.
+        """
+        key = (a, b, k)
+        got = self._powers.get(key)
+        if got is None:
+            if k == 1:
+                got = {}
+                for pole, v in self.entry(a.base_key, b.base_key).items():
+                    c = v.coef * _falling_coeff(pole, a.dz, b.dz)
+                    # integral values stay ints, which keeps class enumeration in int arithmetic
+                    got[(pole + a.dz + b.dz, v.lam)] = c.numerator if c.denominator == 1 else c
+            else:
+                got = _convolve(self.pole_power(a, b, k - 1), self.pole_power(a, b, 1))
+            self._powers[key] = got
+        return got
 
     def to_obj(self) -> dict:
         pairs = []
@@ -126,147 +153,192 @@ class ContractionTable:
         return ContractionTable(system, entries)
 
 
-def _single_term(p: DiffPoly) -> Tuple[Word, int, Fraction]:
-    if len(p._terms) != 1:
-        raise ValueError("expected a monomial (single-term expression)")
-    (word, lam), c = next(iter(p._terms.items()))
-    return word, lam, c
-
-
-def _falling_coeff(k: int, a: int, b: int) -> Fraction:
+def _falling_coeff(k: int, a: int, b: int) -> int:
     # d_z^a d_w^b (z-w)^{-k} = (-1)^a (k+a+b-1)!/(k-1)! (z-w)^{-(k+a+b)}
-    return Fraction((-1) ** a * math.factorial(k + a + b - 1), math.factorial(k - 1))
+    return (-1) ** a * math.factorial(k + a + b - 1) // math.factorial(k - 1)
+
+
+def _convolve(p: PoleMap, q: PoleMap) -> PoleMap:
+    out: PoleMap = {}
+    for (P, l), c in p.items():
+        for (Q, m), d in q.items():
+            key = (P + Q, l + m)
+            out[key] = out.get(key, 0) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=1024)
+def _shift_multisets(e: int, budget: int) -> Tuple[Tuple[Tuple[int, ...], int, int, int], ...]:
+    """Taylor shifts of e identical factors with total <= budget, one per multiset.
+
+    Each entry is (nondecreasing shifts, total, count, denominator): the
+    count = e!/prod(mult!) compositions that permute the shifts share the
+    Taylor coefficient 1/denominator = 1/prod(s!).
+    """
+
+    def nondecreasing(slots: int, left: int, low: int):
+        if slots == 0:
+            yield ()
+            return
+        for s in range(low, left // slots + 1):
+            for rest in nondecreasing(slots - 1, left - s, s):
+                yield (s,) + rest
+
+    out = []
+    for shifts in nondecreasing(e, budget, 0):
+        count, den = math.factorial(e), 1
+        for s, run in groupby(shifts):
+            count //= math.factorial(len(list(run)))
+        for s in shifts:
+            den *= math.factorial(s)
+        out.append((shifts, sum(shifts), count, den))
+    return tuple(out)
+
+
+def _taylor_shifts(groups: List[Tuple[DerivedGenerator, int]], budget: int):
+    """Yield (shifted factors, total shift, count, denominator) over all groups."""
+    if not groups or budget == 0:
+        yield tuple(g for g, e in groups for _ in range(e)), 0, 1, 1
+        return
+    (g, e), rest = groups[0], groups[1:]
+    for shifts, total, count, den in _shift_multisets(e, budget):
+        head = tuple(DerivedGenerator(g.name, g.index, g.dz + s, g.dt) for s in shifts)
+        for tail, ttotal, tcount, tden in _taylor_shifts(rest, budget - total):
+            yield head + tail, total + ttotal, count * tcount, den * tden
+
+
+def _matching_classes(tbl: ContractionTable, gA: List[Group], gB: List[Group]) -> Classes:
+    """Nonempty partial matchings between two grouped words, by class.
+
+    Canonical words keep identical factors adjacent, so a matching is
+    determined up to equivalence by its contingency table k_uv between the
+    groups; a table stands for
+        prod_u m_u!/((m_u-r_u)! prod_v k_uv!) * prod_v n_v!/(n_v-c_v)!
+    matchings (r_u, c_v the used counts).  Its Koszul sign is that of any
+    representative: only odd factors carry sign, and they never repeat.
+    Tables with the same used counts leave the same factors, so the result
+    maps (factors left per A group, per B group) to the sum of their
+    signed, weighted pole maps.
+    """
+    baseB = [g[:2] for g, _, _ in gB]
+    cells = [
+        (u, v)
+        for u, (a, _, _) in enumerate(gA)
+        for v, b in enumerate(baseB)
+        if (a[:2], b) in tbl._table
+    ]
+    classes: Classes = {}
+    if not cells:
+        return classes
+    oddA = [odd * m for _, m, odd in gA]
+    oddB = [odd * m for _, m, odd in gB]
+    signed = any(oddA)
+    oddA_after = [sum(oddA[u + 1 :]) for u in range(len(gA))]
+    oddB_before = [sum(oddB[:v]) for v in range(len(gB))]
+    rows = [m for _, m, _ in gA]  # factors left per group
+    cols = [n for _, n, _ in gB]
+    ks = [0] * len(cells)
+
+    def sign() -> int:
+        # an odd A_i crosses the odd factors left between it and its partner
+        flips, gone = 0, []
+        for (u, v), k in zip(cells, ks):
+            if not k:
+                continue
+            if oddA[u]:
+                flips += oddA_after[u] + oddB_before[v] - sum(oddB[w] for w in gone if w < v)
+            if oddB[v]:
+                gone.append(v)
+        return -1 if flips % 2 else 1
+
+    def visit(idx: int, weight: int, poles: PoleMap, used: int):
+        if idx == len(cells):
+            if used:
+                factor = weight * sign() if signed else weight
+                acc = classes.setdefault((tuple(rows), tuple(cols)), {})
+                for key, c in poles.items():
+                    acc[key] = acc.get(key, 0) + factor * c
+            return
+        visit(idx + 1, weight, poles, used)
+        u, v = cells[idx]
+        a, b = gA[u][0], gB[v][0]
+        for k in range(1, min(rows[u], cols[v]) + 1):
+            nxt = _convolve(poles, tbl.pole_power(a, b, k))
+            if not nxt:
+                continue
+            w = weight * math.comb(rows[u], k) * math.perm(cols[v], k)
+            rows[u] -= k
+            cols[v] -= k
+            ks[idx] = k
+            visit(idx + 1, w, nxt, used + k)
+            rows[u] += k
+            cols[v] += k
+        ks[idx] = 0
+
+    visit(0, 1, {(0, 0): 1}, 0)
+    return classes
+
+
+def _grouped_terms(p: DiffPoly) -> List[Tuple[List[Group], int, Fraction]]:
+    """(groups of repeated factors, lam, coefficient) for each term of p."""
+    parity = p.system.parity
+    return [
+        ([(g, len(list(run)), parity(g)) for g, run in groupby(word)], lam, c)
+        for (word, lam), c in p._terms.items()
+    ]
 
 
 def _wick_terms(
     system: System,
     tbl: ContractionTable,
-    wordA: Word,
-    lamA: int,
-    cA: Fraction,
-    wordB: Word,
-    lamB: int,
-    cB: Fraction,
+    A: Tuple[List[Group], int, Fraction],
+    B: Tuple[List[Group], int, Fraction],
     n_min: int,
-) -> Dict[int, DiffPoly]:
-    """All singular coefficients C_n (n >= n_min) of the OPE of two monomials."""
-    p, q = len(wordA), len(wordB)
-    out: Dict[int, DiffPoly] = {}
-    if p == 0 or q == 0:
-        return out
-    parA = [system.parity(g) for g in wordA]
-    parB = [system.parity(g) for g in wordB]
+    n_max: Optional[int] = None,
+) -> Dict[int, Dict[TermKey, Fraction]]:
+    """Singular coefficients C_n, n_min <= n <= n_max, of the OPE of two
+    monomials given as `_grouped_terms`.
 
-    # pre-compute usable contraction entries per position pair
-    pair_entry: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for i in range(p):
-        for j in range(q):
-            ent = tbl.entry(wordA[i].base_key, wordB[j].base_key)
-            if not ent:
+    Returns raw term maps, which may hold zero coefficients.  One Taylor
+    re-expansion of the surviving z-side factors at w serves each class of
+    matchings (see `_matching_classes`).
+    """
+    (gA, lamA, cA), (gB, lamB, cB) = A, B
+    out: Dict[int, Dict[TermKey, Fraction]] = {}
+    cAB, lamAB = cA * cB, lamA + lamB
+    for (rows_left, cols_left), poles in _matching_classes(tbl, gA, gB).items():
+        poles = {key: c * cAB for key, c in poles.items() if c}
+        if not poles:
+            continue
+        top = max(P for P, _ in poles) - 1
+        n_top = top if n_max is None else min(top, n_max)
+        survivors = [(g, e) for (g, _, _), e in zip(gA, rows_left) if e]
+        restB = tuple(g for (g, _, _), e in zip(gB, cols_left) for _ in range(e))
+        for shifted, stot, count, den in _taylor_shifts(survivors, top - n_min):
+            hits = [(P - 1 - stot, lam, c) for (P, lam), c in poles.items() if n_min <= P - 1 - stot <= n_top]
+            if not hits:
                 continue
-            a, b = wordA[i].dz, wordB[j].dz
-            pair_entry[(i, j)] = {
-                k + a + b: v * _falling_coeff(k, a, b) for k, v in ent.items()
-            }
-
-    # enumerate partial matchings over contractible positions only
-    partners: Dict[int, List[int]] = {}
-    for i in range(p):
-        js = [j for j in range(q) if (i, j) in pair_entry]
-        if js:
-            partners[i] = js
-    contractible = sorted(partners)
-
-    matchings: List[List[Tuple[int, int]]] = []
-
-    def enumerate_matchings(idx: int, used: set, current: List[Tuple[int, int]]):
-        if idx == len(contractible):
-            if current:
-                matchings.append(list(current))
-            return
-        i = contractible[idx]
-        enumerate_matchings(idx + 1, used, current)  # leave i uncontracted
-        for j in partners[i]:
-            if j not in used:
-                used.add(j)
-                current.append((i, j))
-                enumerate_matchings(idx + 1, used, current)
-                current.pop()
-                used.discard(j)
-
-    enumerate_matchings(0, set(), [])
-
-    for pairs in matchings:
-        # Koszul sign of extracting each contracted pair to adjacency
-        entries: List[Tuple[str, int]] = [("A", i) for i in range(p)] + [
-            ("B", j) for j in range(q)
-        ]
-        parity_of = lambda e: parA[e[1]] if e[0] == "A" else parB[e[1]]
-        sign = 1
-        for (i, j) in pairs:
-            pos_i = entries.index(("A", i))
-            pos_j = entries.index(("B", j))
-            between = sum(parity_of(e) for e in entries[pos_i + 1 : pos_j])
-            if parA[i] and between % 2:
-                sign = -sign
-            del entries[pos_j]
-            del entries[pos_i]
-
-        # convolve the per-pair pole maps
-        polemap: Dict[int, Scalar] = {0: Scalar.of(1)}
-        for pr in pairs:
-            nxt: Dict[int, Scalar] = {}
-            for P0, s0 in polemap.items():
-                for k, v in pair_entry[pr].items():
-                    sc = s0 * v
-                    key = P0 + k
-                    nxt[key] = nxt.get(key, Scalar.of(0, sc.lam)) + sc
-            polemap = {k: v for k, v in nxt.items() if not v.is_zero()}
-        if not polemap:
-            continue
-        max_pole = max(polemap)
-
-        remA = [e[1] for e in entries if e[0] == "A"]
-        remB = [e[1] for e in entries if e[0] == "B"]
-        rem_word_B = tuple(wordB[j] for j in remB)
-
-        # Taylor re-expansion of surviving A-factors at w
-        smax = max_pole - 1 - n_min
-        if smax < 0:
-            continue
-        for svec in _compositions_upto(len(remA), smax):
-            coef_taylor = Fraction(1)
-            shifted = []
-            for i, s in zip(remA, svec):
-                g = wordA[i]
-                shifted.append(DerivedGenerator(g.name, g.index, g.dz + s, g.dt))
-                coef_taylor /= math.factorial(s)
-            sw = _sort_word(system, tuple(shifted) + rem_word_B)
+            sw = _sort_word(system, shifted + restB)
             if sw is None:
                 continue
             mono, csign = sw
-            stot = sum(svec)
-            base = cA * cB * coef_taylor * sign * csign
-            for P, sc in polemap.items():
-                n = P - 1 - stot
-                if n < n_min:
-                    continue
-                term = DiffPoly(
-                    system,
-                    {(mono, lamA + lamB + sc.lam): base * sc.coef},
-                )
-                out[n] = out.get(n, system.zero()) + term
-    return {n: v for n, v in out.items() if not v.is_zero()}
+            scale = csign * count if den == 1 else Fraction(csign * count, den)
+            for n, lam, c in hits:
+                terms = out.setdefault(n, {})
+                key = (mono, lamAB + lam)
+                val = c if scale == 1 else c * scale
+                old = terms.get(key)
+                terms[key] = val if old is None else old + val
+    return out
 
 
-def _compositions_upto(slots: int, total_max: int):
-    """All tuples of `slots` nonnegative ints with sum <= total_max."""
-    if slots == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _compositions_upto(slots - 1, total_max - first):
-            yield (first,) + rest
+def _add_scaled(acc: Dict[TermKey, Fraction], terms: Dict[TermKey, Fraction], coef: int = 1) -> None:
+    for key, c in terms.items():
+        acc[key] = acc.get(key, 0) + (c if coef == 1 else coef * c)
+
+
+def _poly(system: System, terms: Dict[TermKey, Fraction]) -> DiffPoly:
+    return DiffPoly(system, {key: c for key, c in terms.items() if c})
 
 
 def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) -> Dict[int, DiffPoly]:
@@ -277,9 +349,11 @@ def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) ->
     surviving z-side factors at w.  Generator pairs absent from the table
     contract to zero.
     """
-    wordA, lamA, cA = _single_term(A)
-    wordB, lamB, cB = _single_term(B)
-    return _wick_terms(A.system, tbl, wordA, lamA, cA, wordB, lamB, cB, n_min)
+    if A.num_terms() != 1 or B.num_terms() != 1:
+        raise ValueError("expected a monomial (single-term expression)")
+    (termA,), (termB,) = _grouped_terms(A), _grouped_terms(B)
+    out = {n: _poly(A.system, terms) for n, terms in _wick_terms(A.system, tbl, termA, termB, n_min).items()}
+    return {n: p for n, p in out.items() if not p.is_zero()}
 
 
 def nth_product(A: DiffPoly, n: int, B: DiffPoly, tbl: ContractionTable) -> DiffPoly:
@@ -287,13 +361,14 @@ def nth_product(A: DiffPoly, n: int, B: DiffPoly, tbl: ContractionTable) -> Diff
     if n < 0:
         raise ValueError("nth_product is defined for n >= 0")
     sys_ = A.system
-    out = sys_.zero()
-    for (wa, la), ca in A._terms.items():
-        for (wb, lb), cb in B._terms.items():
-            terms = _wick_terms(sys_, tbl, wa, la, ca, wb, lb, cb, n)
+    acc: Dict[TermKey, Fraction] = {}
+    termsB = _grouped_terms(B)
+    for tA in _grouped_terms(A):
+        for tB in termsB:
+            terms = _wick_terms(sys_, tbl, tA, tB, n, n)
             if n in terms:
-                out = out + terms[n]
-    return out
+                _add_scaled(acc, terms[n])
+    return _poly(sys_, acc)
 
 
 class ModeElement:
@@ -359,34 +434,33 @@ class ModeElement:
         )
 
 
-def _gen_binom(m: int, j: int) -> Fraction:
+def _gen_binom(m: int, j: int) -> int:
     # binomial coefficient with integer (possibly negative) upper argument
     num = 1
     for s in range(j):
         num *= m - s
-    return Fraction(num, math.factorial(j))
+    return num // math.factorial(j)
 
 
 def mode_bracket(X: ModeElement, Y: ModeElement, tbl: ContractionTable) -> ModeElement:
     """Borcherds commutator [A_(m), B_(n)] = sum_j C(m,j) (A_(j)B)_(m+n-j).
 
-    The j-sum truncates at the largest pole the table can produce.  Negative
-    output powers (central terms) are retained.
+    The j-sum truncates at the largest pole the table can produce, and at
+    j = m for m >= 0, where C(m, j) vanishes beyond.  Negative output powers
+    (central terms) are retained.
     """
     sys_ = X.system
-    acc: Dict[int, DiffPoly] = {}
+    acc: Dict[int, Dict[TermKey, Fraction]] = {}
+    termsY = {n: _grouped_terms(Bn) for n, Bn in Y.parts.items()}
     for m, Am in X.parts.items():
-        for n, Bn in Y.parts.items():
-            for (wa, la), ca in Am._terms.items():
-                for (wb, lb), cb in Bn._terms.items():
-                    prods = _wick_terms(sys_, tbl, wa, la, ca, wb, lb, cb, 0)
-                    for j, Cj in prods.items():
-                        coef = _gen_binom(m, j)
-                        if coef == 0:
-                            continue
-                        k = m + n - j
-                        acc[k] = acc.get(k, sys_.zero()) + Cj.scale(coef)
-    return ModeElement(sys_, acc)
+        j_max = m if m >= 0 else None
+        termsA = _grouped_terms(Am)
+        for n, termsB in termsY.items():
+            for tA in termsA:
+                for tB in termsB:
+                    for j, Cj in _wick_terms(sys_, tbl, tA, tB, 0, j_max).items():
+                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j))
+    return ModeElement(sys_, {k: _poly(sys_, terms) for k, terms in acc.items()})
 
 
 def bracket_zero_modes(A: DiffPoly, B: DiffPoly, tbl: ContractionTable) -> ModeElement:

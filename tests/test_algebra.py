@@ -129,6 +129,26 @@ def test_ibp_examples(toy):
     assert C.dz() + h == p
 
 
+def test_ibp_cache_shared_by_systems_declared_alike():
+    """The slice cache is bounded and keyed by the declaration, not the object."""
+    from chiralbv.algebra import _slice_reduction
+
+    def declare(order):
+        gens = [Generator("b", 0, 0, 0, Fraction(1)), Generator("eta", 0, 1, 1, Fraction(-1, 2))]
+        return System("vertex", gens[::order])
+
+    first, second = declare(1), declare(-1)
+    assert first.signature == second.signature
+    assert first.signature != System("moyal", first.generators()).signature
+    _slice_reduction.cache_clear()
+    C1, h1 = ibp_decompose(first.monomial([first.gen("b", 0, dz=2), first.gen("eta", 0)]))
+    misses = _slice_reduction.cache_info().misses
+    C2, h2 = ibp_decompose(second.monomial([second.gen("b", 0, dz=2), second.gen("eta", 0)]))
+    assert _slice_reduction.cache_info().misses == misses
+    assert (C1._terms, h1._terms) == (C2._terms, h2._terms)
+    assert _slice_reduction.cache_info().maxsize is not None
+
+
 def test_ibp_reconstruction_random():
     sys_, _ = make_mixed_system()
     rng = random.Random(13)

@@ -1,13 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import chiralbv
 from chiralbv.cli import run
+
+# the subprocess imports the same chiralbv as this test process
+SRC = str(Path(chiralbv.__file__).resolve().parent.parent)
 
 
 def run_cli(*argv):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "chiralbv.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "chiralbv.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 

@@ -270,3 +270,44 @@ def test_windowed_phi_budget_error(B, V):
         phi(J, sys_, bg, kmax=2)
     got = phi(J, sys_, bg, kmax=2, wmax=2).part(0)
     assert got == restrict_index_weight(phi(J, sys_, bg).part(0), 2)
+
+
+def _filtered_defect(J1, J2, sys_, tbl, wmax):
+    """The defect from the full 0-th product, filtered to the window afterwards."""
+    from chiralbv.correspondence import PHI_BRACKET_ORIENTATION
+    from chiralbv.moyal import star_bracket
+    from chiralbv.vertex import nth_product
+
+    bg = BackgroundSubstitution(kmax=wmax)
+    lhs = phi(star_bracket(J1, J2, wmax, strict=False), sys_, bg, wmax=wmax).part(0)
+    p1 = phi(J1, sys_, bg, wmax=wmax).part(0)
+    p2 = phi(J2, sys_, bg, wmax=wmax).part(0)
+    rhs = nth_product(p1, 0, p2, tbl).scale(Fraction(PHI_BRACKET_ORIENTATION))
+    diff = restrict_index_weight(lhs - rhs, wmax)
+    return mode_normal_form(ModeElement(sys_, {0: diff})).part(0)
+
+
+def test_windowed_defect_equals_filtered_defect(B, V):
+    """morphism_defect pairs weight slices before the Wick expansion; the
+    result equals the full product filtered to the window afterwards."""
+    sys_, tbl = V
+    rng = random.Random(61)
+    nonzero = 0
+    for wmax in (1, 2, 3):
+        for _ in range(4):
+            J1 = random_bexpr(rng, B, max_T=2, max_degree=2, max_dz=1)
+            J2 = random_bexpr(rng, B, max_T=2, max_degree=2, max_dz=1)
+            defect = morphism_defect(J1, J2, sys_, tbl, wmax)["defect"]
+            assert defect == _filtered_defect(J1, J2, sys_, tbl, wmax), (J1, J2, wmax)
+            nonzero += not defect.is_zero()
+    assert nonzero
+
+
+def test_windowed_defect_rejects_weighted_contractions(B):
+    from chiralbv.algebra import Scalar
+    from chiralbv.vertex import ContractionTable
+
+    sys_, _ = make_bcov(2)
+    tbl = ContractionTable(sys_, {(("b", 1), ("b", 1)): {2: Scalar.of(1)}})
+    with pytest.raises(ValueError, match="b1"):
+        morphism_defect(B.monomial([bt(B)]), B.monomial([et(B)]), sys_, tbl, 2)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -193,3 +194,200 @@ def test_mc_residual_of_zero_interaction():
     from chiralbv.vertex import mc_residual, delta_bcov
     sys_, tbl = make_bcov(1)
     assert mc_residual(sys_.zero(), delta_bcov(sys_), tbl).is_zero()
+
+
+# -- the class-based Wick engine against the single-matching enumerator ----------
+
+
+def _wick_by_matching(A, B, tbl):
+    """Oracle: C_n for all n >= 0, one partial matching of positions at a time."""
+    import math
+
+    from chiralbv.algebra import DerivedGenerator, _sort_word
+
+    system = A.system
+    (((wordA, lamA), cA),), (((wordB, lamB), cB),) = A._terms.items(), B._terms.items()
+    p, q = len(wordA), len(wordB)
+    parA = [system.parity(g) for g in wordA]
+    parB = [system.parity(g) for g in wordB]
+    pair_entry = {}
+    for i in range(p):
+        for j in range(q):
+            a, b = wordA[i].dz, wordB[j].dz
+            for k, v in tbl.entry(wordA[i].base_key, wordB[j].base_key).items():
+                f = Fraction((-1) ** a * math.factorial(k + a + b - 1), math.factorial(k - 1))
+                pair_entry.setdefault((i, j), {})[k + a + b] = v * f
+    matchings = []
+
+    def enumerate_matchings(i, used, current):
+        if i == p:
+            if current:
+                matchings.append(list(current))
+            return
+        enumerate_matchings(i + 1, used, current)
+        for j in range(q):
+            if (i, j) in pair_entry and j not in used:
+                current.append((i, j))
+                enumerate_matchings(i + 1, used | {j}, current)
+                current.pop()
+
+    enumerate_matchings(0, frozenset(), [])
+
+    def compositions(slots, total_max):
+        if slots == 0:
+            yield ()
+            return
+        for first in range(total_max + 1):
+            for rest in compositions(slots - 1, total_max - first):
+                yield (first,) + rest
+
+    out = {}
+    for pairs in matchings:
+        entries = [("A", i) for i in range(p)] + [("B", j) for j in range(q)]
+        parity_of = lambda e: parA[e[1]] if e[0] == "A" else parB[e[1]]
+        sign = 1
+        for i, j in pairs:
+            pos_i, pos_j = entries.index(("A", i)), entries.index(("B", j))
+            if parA[i] and sum(parity_of(e) for e in entries[pos_i + 1 : pos_j]) % 2:
+                sign = -sign
+            del entries[pos_j]
+            del entries[pos_i]
+        polemap = {0: Scalar.of(1)}
+        for pr in pairs:
+            nxt = {}
+            for P0, s0 in polemap.items():
+                for k, v in pair_entry[pr].items():
+                    nxt[P0 + k] = nxt.get(P0 + k, Scalar.of(0, (s0 * v).lam)) + s0 * v
+            polemap = {k: v for k, v in nxt.items() if not v.is_zero()}
+        if not polemap:
+            continue
+        remA = [e[1] for e in entries if e[0] == "A"]
+        restB = tuple(wordB[e[1]] for e in entries if e[0] == "B")
+        for svec in compositions(len(remA), max(polemap) - 1):
+            shifted = tuple(
+                DerivedGenerator(wordA[i].name, wordA[i].index, wordA[i].dz + s, wordA[i].dt)
+                for i, s in zip(remA, svec)
+            )
+            sw = _sort_word(system, shifted + restB)
+            if sw is None:
+                continue
+            mono, csign = sw
+            taylor = Fraction(1, math.prod(math.factorial(s) for s in svec))
+            for P, sc in polemap.items():
+                n = P - 1 - sum(svec)
+                if n >= 0:
+                    term = system.poly([(mono, Scalar(cA * cB * taylor * sign * csign * sc.coef,
+                                                      lamA + lamB + sc.lam))])
+                    out[n] = out.get(n, system.zero()) + term
+    return {n: v for n, v in out.items() if not v.is_zero()}
+
+
+def _monomials(p):
+    return [p.system.poly([(w, Scalar(c, lam))]) for (w, lam), c in p._terms.items()]
+
+
+def _assert_wick_matches_oracle(A, B, tbl):
+    full = _wick_by_matching(A, B, tbl)
+    for n_min in (0, 1, 2):
+        expect = {n: v for n, v in full.items() if n >= n_min}
+        assert wick_ope(A, B, tbl, n_min) == expect, (A, B, n_min)
+
+
+def test_wick_classes_match_oracle_on_w_generators():
+    from chiralbv.correspondence import w_generator
+
+    sys_, tbl = make_heisenberg(1)
+    W = {k: _monomials(w_generator(k, sys_)) for k in range(1, 8)}
+    for a in range(1, 8):
+        for b in range(1, 9 - a):
+            for A in W[a]:
+                for B in W[b]:
+                    _assert_wick_matches_oracle(A, B, tbl)
+
+
+def test_wick_classes_match_oracle_on_bcov_monomials():
+    """Random monomials with repeated b0 (the only contracting field) and odd eta."""
+    sys_, tbl = make_bcov(3)
+    rng = random.Random(43)
+
+    def monomial():
+        word = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                word.append(sys_.gen("b", 0, dz=rng.randint(0, 1)))
+            else:
+                word.append(sys_.gen(rng.choice(("b", "eta")), rng.randint(0, 3), dz=rng.randint(0, 2)))
+        return sys_.monomial(word, coef=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+
+    checked = repeated = 0
+    while checked < 484:
+        A, B = monomial(), monomial()
+        if A.is_zero() or B.is_zero():
+            continue
+        _assert_wick_matches_oracle(A, B, tbl)
+        checked += 1
+        repeated += any(w.count(sys_.gen("b", 0)) > 1 for (w, _) in A._terms)
+    assert repeated > 50
+
+
+def test_wick_classes_match_oracle_with_odd_contractions():
+    sys_, tbl = make_mixed_system()
+    rng = random.Random(47)
+    for _ in range(150):
+        A = random_diffpoly(rng, sys_, max_terms=1, max_degree=4, max_dz=2)
+        B = random_diffpoly(rng, sys_, max_terms=1, max_degree=4, max_dz=2)
+        if A.num_terms() == 1 and B.num_terms() == 1:
+            _assert_wick_matches_oracle(A, B, tbl)
+
+
+def test_wick_classes_match_oracle_on_psm_interaction():
+    from chiralbv.psm import build_psm, so3_bivector
+
+    for D in (3, 4, 5):
+        _, tbl, I = build_psm(so3_bivector(), D)
+        terms = _monomials(I)
+        for A in terms:
+            for B in terms:
+                _assert_wick_matches_oracle(A, B, tbl)
+
+
+def test_class_weights_count_partial_matchings():
+    """Summed over the classes of b0^m x b0^n, the weights count every
+    partial matching: sum_r C(m, r) n!/(n-r)! nonempty ones."""
+    from chiralbv.vertex import _matching_classes
+
+    sys_, tbl = make_heisenberg(0)
+    b0 = sys_.gen("b", 0)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            classes = _matching_classes(tbl, [(b0, m, 0)], [(b0, n, 0)])
+            total = sum(c for poles in classes.values() for c in poles.values())
+
+            def count(i, used):  # brute force over positions
+                if i == m:
+                    return 1
+                return count(i + 1, used) + sum(count(i + 1, used | {j}) for j in range(n) if j not in used)
+
+            assert total == count(0, frozenset()) - 1, (m, n)
+            # one class per number r of contractions, each weighted C(m, r) n!/(n-r)!
+            assert {rows[0]: poles for (rows, _), poles in classes.items()} == {
+                m - r: {(2 * r, 0): math.comb(m, r) * math.perm(n, r)} for r in range(1, min(m, n) + 1)
+            }
+
+
+def test_import_leaves_scipy_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import chiralbv
+
+    src = str(Path(chiralbv.__file__).resolve().parent.parent)
+    code = (
+        "import sys, chiralbv, chiralbv.cli; assert 'scipy' not in sys.modules; "
+        "from chiralbv import ordered_integral; assert 'scipy' in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
