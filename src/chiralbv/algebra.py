@@ -269,19 +269,39 @@ def _sort_word(system: System, word: Word) -> Optional[Tuple[Word, int]]:
     Returns ``(sorted_word, sign)``, or ``None`` when the word contains a
     repeated odd generator and the monomial vanishes.
     """
-    w = list(word)
+    if len(word) < 2:
+        return tuple(word), 1
+    gens = system._gens
+    # decorate once with (sort key, parity); insertion sort keeps equal factors in order
+    w = [((dg.name, dg.index, dg.dt, dg.dz), gens[dg.name, dg.index].parity, dg) for dg in word]
     sign = 1
     for i in range(1, len(w)):
+        cur = w[i]
+        key, odd = cur[0], cur[1]
         j = i
-        while j > 0 and _dg_sort_key(w[j]) < _dg_sort_key(w[j - 1]):
-            if system.parity(w[j]) and system.parity(w[j - 1]):
+        while j > 0 and key < w[j - 1][0]:
+            if odd and w[j - 1][1]:
                 sign = -sign
-            w[j], w[j - 1] = w[j - 1], w[j]
+            w[j] = w[j - 1]
             j -= 1
+        w[j] = cur
     for a, b in zip(w, w[1:]):
-        if a == b and system.parity(a):
+        if a[1] and a[0] == b[0]:
             return None
-    return tuple(w), sign
+    return tuple([e[2] for e in w]), sign
+
+
+def _add_scaled(acc: Dict[TermKey, Fraction], terms: Dict[TermKey, Fraction], coef=1) -> None:
+    """acc += coef * terms; zero entries stay until ``_poly`` drops them."""
+    for key, c in terms.items():
+        if coef != 1:
+            c = coef * c
+        old = acc.get(key)
+        acc[key] = c if old is None else old + c
+
+
+def _poly(system: System, terms: Dict[TermKey, Fraction]) -> "DiffPoly":
+    return DiffPoly(system, {key: c for key, c in terms.items() if c})
 
 
 class DiffPoly:
@@ -391,25 +411,29 @@ class DiffPoly:
 
     def mul(self, other: "DiffPoly", max_degree: Optional[int] = None) -> "DiffPoly":
         """Graded product; terms above ``max_degree`` are dropped when set."""
+        acc: Dict[TermKey, Fraction] = {}
+        self._mul_into(acc, other, max_degree=max_degree)
+        return _poly(self.system, acc)
+
+    def _mul_into(self, acc: Dict[TermKey, Fraction], other: "DiffPoly", coef=1,
+                  max_degree: Optional[int] = None) -> None:
+        """acc += coef * (self * other), accumulated as in ``_add_scaled``."""
         if self.system is not other.system:
             raise ValueError("expressions belong to different systems")
         sys_ = self.system
-        acc: Dict[TermKey, Fraction] = {}
         for (w1, l1), c1 in self._terms.items():
+            if coef != 1:
+                c1 = coef * c1
             for (w2, l2), c2 in other._terms.items():
                 if max_degree is not None and len(w1) + len(w2) > max_degree:
                     continue
                 sw = _sort_word(sys_, w1 + w2)
                 if sw is None:
                     continue
-                word, sign = sw
-                key = (word, l1 + l2)
-                nv = acc.get(key, Fraction(0)) + sign * c1 * c2
-                if nv == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = nv
-        return DiffPoly(sys_, acc)
+                c = c1 * c2 if sw[1] > 0 else -(c1 * c2)
+                key = (sw[0], l1 + l2)
+                old = acc.get(key)
+                acc[key] = c if old is None else old + c
 
     def filter(self, pred: Callable[[Word, int], bool]) -> "DiffPoly":
         return DiffPoly(self.system, {k: v for k, v in self._terms.items() if pred(k[0], k[1])})
@@ -429,16 +453,12 @@ class DiffPoly:
                 else:
                     ndg = DerivedGenerator(dg.name, dg.index, dg.dz, dg.dt + 1)
                 sw = _sort_word(sys_, word[:i] + (ndg,) + word[i + 1 :])
-                if sw is None:
-                    continue
-                nw, sign = sw
-                key = (nw, lam)
-                nv = acc.get(key, Fraction(0)) + sign * c
-                if nv == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = nv
-        return DiffPoly(sys_, acc)
+                if sw is not None:
+                    v = c if sw[1] > 0 else -c
+                    key = (sw[0], lam)
+                    old = acc.get(key)
+                    acc[key] = v if old is None else old + v
+        return _poly(sys_, acc)
 
     def dz(self, n: int = 1) -> "DiffPoly":
         """Total z-derivative (Leibniz), applied ``n`` times."""
@@ -465,15 +485,12 @@ class DiffPoly:
             before = 0
             for i, g in enumerate(word):
                 if g == dg:
-                    sign = -1 if (p_dg and before % 2) else 1
+                    v = -c if (p_dg and before % 2) else c
                     key = (word[:i] + word[i + 1 :], lam)
-                    nv = acc.get(key, Fraction(0)) + sign * c
-                    if nv == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = nv
+                    old = acc.get(key)
+                    acc[key] = v if old is None else old + v
                 before += sys_.parity(g)
-        return DiffPoly(sys_, acc)
+        return _poly(sys_, acc)
 
     # -- gradings -------------------------------------------------------------
 
@@ -698,18 +715,11 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
             if not f:
                 continue
             for i, c in rvec.items():
-                nv = vec.get(i, Fraction(0)) - f * c
-                if nv == 0:
-                    vec.pop(i, None)
-                else:
-                    vec[i] = nv
+                vec[i] = vec[i] - f * c if i in vec else -f * c
             for w, c in rcombo.items():
-                key = (w, lam)
-                nv = c_terms.get(key, Fraction(0)) + f * c
-                if nv == 0:
-                    c_terms.pop(key, None)
-                else:
-                    c_terms[key] = nv
+                key, v = (w, lam), f * c
+                old = c_terms.get(key)
+                c_terms[key] = v if old is None else old + v
         for i, c in vec.items():
             if c != 0:
                 h_terms[(inv_index[i], lam)] = h_terms.get((inv_index[i], lam), Fraction(0)) + c
@@ -750,15 +760,22 @@ class Derivation:
 
     def __call__(self, p: DiffPoly) -> DiffPoly:
         sys_ = self.system
-        out = sys_.zero()
+        images: Dict[DerivedGenerator, Dict[TermKey, Fraction]] = {}
+        acc: Dict[TermKey, Fraction] = {}
         for (word, lam), c in p._terms.items():
             before = 0
             for i, dg in enumerate(word):
-                img = self.rule(dg)
-                if not img.is_zero():
-                    sign = -1 if (self.parity and before % 2) else 1
-                    left = sys_.monomial(word[:i], coef=sign * c, lam=lam)
-                    right = sys_.monomial(word[i + 1 :])
-                    out = out + left.mul(img).mul(right)
+                img = images.get(dg)
+                if img is None:
+                    img = images[dg] = self.rule(dg)._terms
+                if img:
+                    sc = -c if (self.parity and before % 2) else c
+                    for (iw, il), ic in img.items():
+                        sw = _sort_word(sys_, word[:i] + iw + word[i + 1 :])
+                        if sw is not None:
+                            v = sc * ic if sw[1] > 0 else -(sc * ic)
+                            key = (sw[0], lam + il)
+                            old = acc.get(key)
+                            acc[key] = v if old is None else old + v
                 before += sys_.parity(dg)
-        return out
+        return _poly(sys_, acc)

@@ -8,6 +8,9 @@ a two-sided ideal, so all identities hold exactly below a T-budget.
 
 The solver produces the unique odd element J = eta-tilde + ... with
 delta(J) + (1/2)[J,J]_star = 0, delta^{-1}(J) = 0, level by level in T.
+It computes each T-level once, from the order-s star pieces of level pairs
+(i, j, s) with i + j + s = k, keeping each level's derivative chains for the
+whole solve; the residual at level k reuses the same pieces.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .algebra import (
     DiffPoly,
     Generator,
     System,
+    TermKey,
+    _add_scaled,
+    _poly,
 )
 
 __all__ = [
@@ -62,13 +68,35 @@ def t_level(word) -> int:
     return sum(dg.dt for dg in word)
 
 
+def _group_terms(p: DiffPoly, word_key) -> Dict[int, DiffPoly]:
+    groups: Dict[int, Dict[TermKey, Fraction]] = {}
+    for key, c in p._terms.items():
+        groups.setdefault(word_key(key[0]), {})[key] = c
+    return {k: DiffPoly(p.system, terms) for k, terms in groups.items()}
+
+
 def split_t_levels(p: DiffPoly) -> Dict[int, DiffPoly]:
-    out: Dict[int, DiffPoly] = {}
-    for (word, lam), c in p._terms.items():
-        lv = t_level(word)
-        out.setdefault(lv, p.system.zero())
-        out[lv] = out[lv] + DiffPoly(p.system, {(word, lam): c})
-    return out
+    return _group_terms(p, t_level)
+
+
+Chain = Dict[Tuple[int, int], DiffPoly]  # (t-order, z-order) -> derivative of chain[(0, 0)]
+
+
+def _deriv(chain: Chain, k_t: int, k_z: int) -> DiffPoly:
+    """Dt^k_t Dz^k_z of ``chain[(0, 0)]``, memoised in ``chain``."""
+    d = chain.get((k_t, k_z))
+    if d is None:
+        d = _deriv(chain, k_t, k_z - 1).dz() if k_z else _deriv(chain, k_t - 1, 0).dt()
+        chain[(k_t, k_z)] = d
+    return d
+
+
+def _add_star_piece(acc: Dict[TermKey, Fraction], f: Chain, g: Chain, s: int) -> None:
+    """acc += the order-s part of F*G, which raises the T-level by s."""
+    for k1 in range(s + 1):
+        k2 = s - k1
+        coef = Fraction((-1) ** k2, 2**s * math.factorial(k1) * math.factorial(k2))
+        _deriv(f, k1, k2)._mul_into(acc, _deriv(g, k2, k1), coef)
 
 
 def star(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
@@ -82,37 +110,19 @@ def star(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
     nothing below the budget and are skipped, which is exact for
     consumers that only read T-levels <= tmax.
     """
-    sys_ = F.system
-    out = sys_.zero()
     levels_f = split_t_levels(F)
     levels_g = split_t_levels(G)
     if strict and levels_f and levels_g and min(levels_f) + min(levels_g) > tmax:
         raise ValueError("tmax is below the T-levels already present")
-    for tf, Fc in levels_f.items():
-        for tg, Gc in levels_g.items():
-            budget = tmax - tf - tg
-            if budget < 0:
-                # such pairs only produce T-levels above tmax
-                continue
-            # cache derivative chains
-            Fd: Dict[Tuple[int, int], DiffPoly] = {(0, 0): Fc}
-            Gd: Dict[Tuple[int, int], DiffPoly] = {(0, 0): Gc}
-
-            def deriv(cache, base, k_t, k_z):
-                key = (k_t, k_z)
-                if key not in cache:
-                    if k_z > 0:
-                        cache[key] = deriv(cache, base, k_t, k_z - 1).dz()
-                    else:
-                        cache[key] = deriv(cache, base, k_t - 1, 0).dt()
-                return cache[key]
-
-            for k1 in range(budget + 1):
-                for k2 in range(budget + 1 - k1):
-                    coef = Fraction((-1) ** k2, 2 ** (k1 + k2) * math.factorial(k1) * math.factorial(k2))
-                    piece = deriv(Fd, Fc, k1, k2).mul(deriv(Gd, Gc, k2, k1))
-                    out = out + piece.scale(coef)
-    return out
+    chains_f = {tf: {(0, 0): Fc} for tf, Fc in levels_f.items()}
+    chains_g = {tg: {(0, 0): Gc} for tg, Gc in levels_g.items()}
+    acc: Dict[TermKey, Fraction] = {}
+    for tf, f in chains_f.items():
+        for tg, g in chains_g.items():
+            # pairs with tf + tg > tmax only produce T-levels above tmax
+            for s in range(tmax - tf - tg + 1):
+                _add_star_piece(acc, f, g, s)
+    return _poly(F.system, acc)
 
 
 def star_bracket(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
@@ -121,21 +131,12 @@ def star_bracket(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> Di
     Parity-inhomogeneous arguments are split into even and odd parts and
     the bracket extended bilinearly.
     """
-    out = F.system.zero()
-    for pf, Fp in _parity_parts(F).items():
-        for pg, Gp in _parity_parts(G).items():
-            sign = Fraction((-1) ** (pf * pg))
-            out = out + star(Fp, Gp, tmax, strict=strict) - star(Gp, Fp, tmax, strict=strict).scale(sign)
-    return out
-
-
-def _parity_parts(p: DiffPoly) -> Dict[int, DiffPoly]:
-    parts: Dict[int, DiffPoly] = {}
-    for (word, lam), c in p._terms.items():
-        par = p.system.word_parity(word)
-        parts.setdefault(par, p.system.zero())
-        parts[par] = parts[par] + DiffPoly(p.system, {(word, lam): c})
-    return parts
+    acc: Dict[TermKey, Fraction] = {}
+    for pf, Fp in _group_terms(F, F.system.word_parity).items():
+        for pg, Gp in _group_terms(G, G.system.word_parity).items():
+            _add_scaled(acc, star(Fp, Gp, tmax, strict=strict)._terms)
+            _add_scaled(acc, star(Gp, Fp, tmax, strict=strict)._terms, -((-1) ** (pf * pg)))
+    return _poly(F.system, acc)
 
 
 def deg_cw(p: DiffPoly) -> Optional[Tuple[int, Fraction]]:
@@ -188,27 +189,26 @@ def delta_inv(p: DiffPoly, check: bool = True) -> DiffPoly:
     sys_ = p.system
     d = delta_b(sys_)
     ds = delta_star(sys_)
-    out = sys_.zero()
+    acc: Dict[TermKey, Fraction] = {}
     for (word, lam), c in p._terms.items():
         n = _n_eigenvalue(sys_, word)
         mono = DiffPoly(sys_, {(word, lam): c})
-        if check:
-            Nm = d(ds(mono)) + ds(d(mono))
-            if Nm != mono.scale(Fraction(n)):
-                raise AssertionError(f"monomial is not an N-eigenvector: {word}")
+        ds_mono = ds(mono)
+        if check and d(ds_mono) + ds(d(mono)) != mono.scale(Fraction(n)):
+            raise AssertionError(f"monomial is not an N-eigenvector: {word}")
         if n:
-            out = out + ds(mono).scale(Fraction(1, n))
-    return out
+            _add_scaled(acc, ds_mono._terms, Fraction(1, n))
+    return _poly(sys_, acc)
 
 
 def closed_form_j0(tmax: int, system: Optional[System] = None) -> DiffPoly:
     """eta-tilde + sum_{k>=1} (Dt^{k-1}/k!)(bt^k Dt(et)), through T <= tmax."""
     sys_ = system if system is not None else make_b_system()
-    out = sys_.monomial([et(sys_)])
+    acc = dict(sys_.monomial([et(sys_)])._terms)
     for k in range(1, tmax + 1):
         term = sys_.monomial([bt(sys_)] * k + [et(sys_, dt=1)], coef=Fraction(1, math.factorial(k)))
-        out = out + term.dt(k - 1)
-    return out
+        _add_scaled(acc, term.dt(k - 1)._terms)
+    return _poly(sys_, acc)
 
 
 def reflection(p: DiffPoly) -> DiffPoly:
@@ -233,10 +233,10 @@ class FedosovSolution:
         return len(self.levels) - 1
 
     def j(self) -> DiffPoly:
-        out = self.system.zero()
+        acc: Dict[TermKey, Fraction] = {}
         for lv in self.levels:
-            out = out + lv
-        return out
+            _add_scaled(acc, lv._terms)
+        return _poly(self.system, acc)
 
     def mc_residual(self) -> DiffPoly:
         J = self.j()
@@ -246,34 +246,41 @@ class FedosovSolution:
 def fedosov_solve(tmax: int, system: Optional[System] = None) -> FedosovSolution:
     """Solve the flat-connection equation through T <= tmax.
 
-    J_(0) = eta-tilde; J_(k) = delta^{-1}( -1/2 [J_(<k), J_(<k)]|_k ).
+    J_(0) = eta-tilde; J_(k) = delta^{-1}( -(J * J)|_k ), as J is odd and so
+    (1/2)[J,J]_star = J * J, whose level k sums the order-s star pieces of the
+    level pairs (i, j, s), i + j + s = k; those with i, j < k give J_(k).
     Every level is checked to be exactly delta-exact (the relevant second
     cohomology vanishes in conformal weight 2) and homogeneous of
-    (deg, cw) = (1, 1).
+    (deg, cw) = (1, 1), and the residual is checked from the same pieces.
     """
     if tmax < 0:
         raise ValueError("tmax must be >= 0")
     sys_ = system if system is not None else make_b_system()
     d = delta_b(sys_)
     levels = [sys_.monomial([et(sys_)])]
-    for k in range(1, tmax + 1):
-        partial = sys_.zero()
-        for lv in levels:
-            partial = partial + lv
-        rhs_all = star_bracket(partial, partial, k).scale(Fraction(-1, 2))
-        rhs = split_t_levels(rhs_all).get(k, sys_.zero())
-        g = deg_cw(rhs)
-        if not rhs.is_zero() and g != (2, Fraction(2)):
-            raise AssertionError(f"bracket level {k} is not homogeneous of (deg,cw)=(2,2): {g}")
-        jk = delta_inv(rhs)
-        if d(jk) != rhs:
-            raise AssertionError(f"delta-exactness check failed at level {k}")
-        g = deg_cw(jk)
-        if not jk.is_zero() and g != (1, Fraction(1)):
-            raise AssertionError(f"level {k} is not homogeneous of (deg,cw)=(1,1): {g}")
-        levels.append(jk)
-
-    sol = FedosovSolution(sys_, levels, {})
-    res = split_t_levels(sol.mc_residual())
-    sol.residual_zero = {k: res.get(k, sys_.zero()).is_zero() for k in range(tmax + 1)}
-    return sol
+    chains = [{(0, 0): levels[0]}]
+    residual_zero: Dict[int, bool] = {}
+    for k in range(tmax + 1):
+        acc: Dict[TermKey, Fraction] = {}
+        for i in range(k):
+            for j in range(k - i):
+                _add_star_piece(acc, chains[i], chains[j], k - i - j)
+        if k:
+            rhs = _poly(sys_, {key: -c for key, c in acc.items()})
+            g = deg_cw(rhs)
+            if not rhs.is_zero() and g != (2, Fraction(2)):
+                raise AssertionError(f"bracket level {k} is not homogeneous of (deg,cw)=(2,2): {g}")
+            jk = delta_inv(rhs)
+            if d(jk) != rhs:
+                raise AssertionError(f"delta-exactness check failed at level {k}")
+            g = deg_cw(jk)
+            if not jk.is_zero() and g != (1, Fraction(1)):
+                raise AssertionError(f"level {k} is not homogeneous of (deg,cw)=(1,1): {g}")
+            levels.append(jk)
+            chains.append({(0, 0): jk})
+        # the pairs with J_(k) complete level k of (1/2)[J, J]_star
+        for i, j in {(k, 0), (0, k)}:
+            _add_star_piece(acc, chains[i], chains[j], 0)
+        _add_scaled(acc, d(levels[k])._terms)
+        residual_zero[k] = not any(acc.values())
+    return FedosovSolution(sys_, levels, residual_zero)

@@ -25,6 +25,8 @@ from .algebra import (
     Scalar,
     System,
     TermKey,
+    _add_scaled,
+    _poly,
     _sort_word,
     ibp_decompose,
 )
@@ -83,7 +85,6 @@ class ContractionTable:
                 if mirror is None or mirror != expect:
                     raise ValueError(f"contraction table breaks graded symmetry at {a},{b} pole {k}")
         self._table = table
-        self.max_pole = max((k for poles in table.values() for k in poles), default=0)
         self._powers: Dict[Tuple[DerivedGenerator, DerivedGenerator, int], PoleMap] = {}
 
     @staticmethod
@@ -332,15 +333,6 @@ def _wick_terms(
     return out
 
 
-def _add_scaled(acc: Dict[TermKey, Fraction], terms: Dict[TermKey, Fraction], coef: int = 1) -> None:
-    for key, c in terms.items():
-        acc[key] = acc.get(key, 0) + (c if coef == 1 else coef * c)
-
-
-def _poly(system: System, terms: Dict[TermKey, Fraction]) -> DiffPoly:
-    return DiffPoly(system, {key: c for key, c in terms.items() if c})
-
-
 def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) -> Dict[int, DiffPoly]:
     """Singular OPE coefficients {n >= n_min: C_n} of two monomial fields.
 
@@ -445,7 +437,7 @@ def _gen_binom(m: int, j: int) -> int:
 def mode_bracket(X: ModeElement, Y: ModeElement, tbl: ContractionTable) -> ModeElement:
     """Borcherds commutator [A_(m), B_(n)] = sum_j C(m,j) (A_(j)B)_(m+n-j).
 
-    The j-sum truncates at the largest pole the table can produce, and at
+    The j-sum runs over the poles the Wick terms produce, and stops at
     j = m for m >= 0, where C(m, j) vanishes beyond.  Negative output powers
     (central terms) are retained.
     """

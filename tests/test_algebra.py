@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chiralbv.algebra import (
+    Derivation,
     DerivedGenerator,
     DiffPoly,
     Generator,
@@ -217,3 +218,102 @@ def test_truncated_mul_drops_high_degree(toy):
     p = b0.mul(b0, max_degree=1)
     assert p.is_zero()
     assert b0.mul(b0, max_degree=2) == toy.monomial([toy.gen("b", 0)] * 2)
+
+
+# -- oracles: the from-scratch forms the fast paths replaced -----------------
+
+
+def _sort_word_oracle(system, word):
+    """Insertion sort recomputing the key at every comparison."""
+    key = lambda dg: (dg.name, dg.index, dg.dt, dg.dz)
+    w = list(word)
+    sign = 1
+    for i in range(1, len(w)):
+        j = i
+        while j > 0 and key(w[j]) < key(w[j - 1]):
+            if system.parity(w[j]) and system.parity(w[j - 1]):
+                sign = -sign
+            w[j], w[j - 1] = w[j - 1], w[j]
+            j -= 1
+    for a, b in zip(w, w[1:]):
+        if a == b and system.parity(a):
+            return None
+    return tuple(w), sign
+
+
+def _apply_derivation_oracle(D, p):
+    """monomial(left) * image * monomial(right) for every factor."""
+    sys_ = D.system
+    out = sys_.zero()
+    for (word, lam), c in p._terms.items():
+        before = 0
+        for i, dg in enumerate(word):
+            img = D.rule(dg)
+            if not img.is_zero():
+                sign = -1 if (D.parity and before % 2) else 1
+                left = sys_.monomial(word[:i], coef=sign * c, lam=lam)
+                right = sys_.monomial(word[i + 1 :])
+                out = out + left.mul(img).mul(right)
+            before += sys_.parity(dg)
+    return out
+
+
+def test_sort_word_matches_oracle_on_repeated_odd_factors():
+    from chiralbv.algebra import _sort_word
+    from chiralbv.moyal import make_b_system
+
+    rng = random.Random(71)
+    mixed, _ = make_mixed_system()
+    B = make_b_system()
+    vanished = 0
+    for n in range(20000):
+        sys_ = mixed if n % 2 else B
+        pool = [DerivedGenerator(g.name, g.index, rng.randint(0, 1), rng.randint(0, 1) if sys_ is B else 0)
+                for g in sys_.generators() for _ in range(2)]
+        word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 7)))
+        got = _sort_word(sys_, word)
+        assert got == _sort_word_oracle(sys_, word), word
+        vanished += got is None
+    assert vanished > 2000
+
+
+def test_derivations_match_oracle():
+    from chiralbv.moyal import delta_b, delta_star, make_b_system
+    from chiralbv.psm import build_psm, psm_delta, so3_bivector
+    from chiralbv.sampling import random_bexpr
+    from chiralbv.vertex import delta_bcov, make_bcov
+
+    rng = random.Random(73)
+    B = make_b_system()
+    for D in (delta_b(B), delta_star(B)):
+        for _ in range(200):
+            F = random_bexpr(rng, B, max_T=2, max_degree=4, max_dz=2)
+            assert D(F) == _apply_derivation_oracle(D, F)
+    bcov, _ = make_bcov(3)
+    D = delta_bcov(bcov)
+    for _ in range(200):
+        F = random_diffpoly(rng, bcov, max_terms=4, max_degree=5, max_dz=2, lam_range=(0, 1))
+        assert D(F) == _apply_derivation_oracle(D, F)
+    psys, _, I = build_psm(so3_bivector(), 4)
+    D = psm_delta(psys, 3)
+    assert not D(I).is_zero() and D(I) == _apply_derivation_oracle(D, I)
+    for _ in range(100):
+        F = random_diffpoly(rng, psys, max_terms=4, max_degree=4, max_dz=2)
+        assert D(F) == _apply_derivation_oracle(D, F)
+
+
+def test_derivation_with_multi_term_images_matches_oracle():
+    """Even and odd derivations whose images carry several terms, lam powers and odd factors."""
+    sys_, _ = make_mixed_system()
+    rng = random.Random(79)
+    for parity in (0, 1):
+        for _ in range(40):
+            images = {}
+            for g in sys_.generators():
+                img = random_diffpoly(rng, sys_, max_terms=3, max_degree=3, max_dz=1, lam_range=(0, 1),
+                                      parity=(g.parity + parity) % 2)
+                images[g.key] = img
+            D = Derivation.from_base_rules(sys_, parity, images)
+            for _ in range(5):
+                F = random_diffpoly(rng, sys_, max_terms=3, max_degree=4, max_dz=2, lam_range=(-1, 1))
+                assert D(F) == _apply_derivation_oracle(D, F)

@@ -1,8 +1,12 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from chiralbv.algebra import DiffPoly
 from chiralbv.moyal import (
     closed_form_j0,
     delta_b,
@@ -11,11 +15,14 @@ from chiralbv.moyal import (
     fedosov_solve,
     make_b_system,
     reflection,
+    split_t_levels,
     star,
     star_bracket,
 )
-from chiralbv.moyal import bt, et, deg_cw
+from chiralbv.moyal import _n_eigenvalue, bt, et, deg_cw
+from chiralbv.properties import run_suite
 from chiralbv.sampling import random_bexpr
+from test_algebra import _apply_derivation_oracle as apply_oracle
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +165,123 @@ def test_bexpr_gradings(B):
     assert (g.deg, g.cw, g.dim, g.hw) == (1, Fraction(1), Fraction(0), Fraction(1))
     g = B.monomial([bt(B, dz=2, dt=1)]).grade()
     assert g.cw == Fraction(2)
+
+
+# -- oracles: the from-scratch forms the level-pair solver replaced -----------
+
+
+def _star_oracle(F, G, tmax, strict=True):
+    """Every T-level pair rebuilds its derivative chains; immutable sums."""
+    out = F.system.zero()
+    levels_f, levels_g = split_t_levels(F), split_t_levels(G)
+    if strict and levels_f and levels_g and min(levels_f) + min(levels_g) > tmax:
+        raise ValueError("tmax is below the T-levels already present")
+    for tf, Fc in levels_f.items():
+        for tg, Gc in levels_g.items():
+            budget = tmax - tf - tg
+            for k1 in range(budget + 1):
+                for k2 in range(budget + 1 - k1):
+                    coef = Fraction((-1) ** k2, 2 ** (k1 + k2) * math.factorial(k1) * math.factorial(k2))
+                    out = out + Fc.dt(k1).dz(k2).mul(Gc.dt(k2).dz(k1)).scale(coef)
+    return out
+
+
+def _star_bracket_oracle(F, G, tmax):
+    def parity_parts(p):
+        parts = {}
+        for (word, lam), c in p._terms.items():
+            par = p.system.word_parity(word)
+            parts[par] = parts.get(par, p.system.zero()) + DiffPoly(p.system, {(word, lam): c})
+        return parts
+
+    out = F.system.zero()
+    for pf, Fp in parity_parts(F).items():
+        for pg, Gp in parity_parts(G).items():
+            sign = Fraction((-1) ** (pf * pg))
+            out = out + _star_oracle(Fp, Gp, tmax, strict=False)
+            out = out - _star_oracle(Gp, Fp, tmax, strict=False).scale(sign)
+    return out
+
+
+def _delta_inv_oracle(p):
+    sys_ = p.system
+    d, ds = delta_b(sys_), delta_star(sys_)
+    out = sys_.zero()
+    for (word, lam), c in p._terms.items():
+        n = _n_eigenvalue(sys_, word)
+        mono = DiffPoly(sys_, {(word, lam): c})
+        assert apply_oracle(d, apply_oracle(ds, mono)) + apply_oracle(ds, apply_oracle(d, mono)) == mono.scale(n)
+        if n:
+            out = out + apply_oracle(ds, mono).scale(Fraction(1, n))
+    return out
+
+
+def _fedosov_oracle(tmax):
+    """Recompute [J_<k, J_<k] from scratch at every level and [J, J] at the end."""
+    sys_ = make_b_system()
+    d = delta_b(sys_)
+    levels = [sys_.monomial([et(sys_)])]
+    for k in range(1, tmax + 1):
+        partial = sys_.zero()
+        for lv in levels:
+            partial = partial + lv
+        rhs = split_t_levels(_star_bracket_oracle(partial, partial, k).scale(Fraction(-1, 2))).get(k, sys_.zero())
+        jk = _delta_inv_oracle(rhs)
+        assert apply_oracle(d, jk) == rhs
+        levels.append(jk)
+    J = sys_.zero()
+    for lv in levels:
+        J = J + lv
+    res = split_t_levels(apply_oracle(d, J) + _star_bracket_oracle(J, J, tmax).scale(Fraction(1, 2)))
+    return levels, {k: res.get(k, sys_.zero()).is_zero() for k in range(tmax + 1)}
+
+
+def test_fedosov_matches_from_scratch_oracle():
+    for tmax in range(7):
+        sol = fedosov_solve(tmax)
+        levels, residual_zero = _fedosov_oracle(tmax)
+        assert [lv._terms for lv in sol.levels] == [lv._terms for lv in levels]
+        assert sol.residual_zero == residual_zero
+        if tmax <= 4:
+            res = split_t_levels(sol.mc_residual())
+            assert all(res.get(k, sol.system.zero()).is_zero() == v for k, v in sol.residual_zero.items())
+
+
+def test_star_matches_oracle_on_seeded_pairs(B):
+    rng = random.Random(83)
+    raised = 0
+    for _ in range(200):
+        F = random_bexpr(rng, B, max_T=rng.randint(0, 3), max_degree=3, max_dz=2, parity=rng.randint(0, 1))
+        G = random_bexpr(rng, B, max_T=rng.randint(0, 3), max_degree=3, max_dz=2, parity=rng.randint(0, 1))
+        for tmax in range(5):
+            for strict in (True, False):
+                try:
+                    expect = _star_oracle(F, G, tmax, strict=strict)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        star(F, G, tmax, strict=strict)
+                    raised += 1
+                    continue
+                assert star(F, G, tmax, strict=strict)._terms == expect._terms
+        assert star_bracket(F, G, 3, strict=False)._terms == _star_bracket_oracle(F, G, 3)._terms
+    assert raised > 20
+
+
+def test_star_associativity_suite_seed_16():
+    """An intermediate product whose lowest T-level cancels upward past the
+    budget must not make the suite raise."""
+    assert run_suite("star-associativity", seed=16, cases=100).failures == 0
+
+
+def test_fedosov_solve_report_golden(tmp_path):
+    """sha256 of the tmax 4 report's expression and residual report, as emitted."""
+    from chiralbv.cli import run
+
+    out = tmp_path / "j.json"
+    assert run(["fedosov", "solve", "--tmax", "4", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    digest = {k: hashlib.sha256(json.dumps(rep[k]).encode()).hexdigest() for k in ("expression", "residual_report")}
+    assert digest == {
+        "expression": "3612809c21f23e9130bc40f91b5415b68c13fe5a7a6924f20cfab12f55028d7b",
+        "residual_report": "5aaba6b380a49f7825c1b52c01699866b664fa3b6d674afa304bf0294a47007b",
+    }
