@@ -90,11 +90,6 @@ class Scalar:
             raise ValueError("cannot add scalars with different lam powers")
         return Scalar(self.coef + other.coef, self.lam)
 
-    def inverse(self) -> "Scalar":
-        if self.coef == 0:
-            raise ZeroDivisionError("scalar is zero")
-        return Scalar(1 / self.coef, -self.lam)
-
     def to_obj(self) -> dict:
         return {"num": self.coef.numerator, "den": self.coef.denominator, "lam": self.lam}
 
@@ -342,12 +337,6 @@ class DiffPoly:
         """lam-power -> coefficient of the empty monomial."""
         return {lam: c for (word, lam), c in self._terms.items() if not word}
 
-    def lam_powers(self) -> List[int]:
-        return sorted({lam for (_, lam) in self._terms})
-
-    def max_degree(self) -> int:
-        return max((len(w) for (w, _) in self._terms), default=0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DiffPoly)
@@ -371,23 +360,18 @@ class DiffPoly:
 
     # -- linear structure ------------------------------------------------------
 
-    def _merged(self, other: "DiffPoly", flip: bool) -> "DiffPoly":
+    def _merged(self, other: "DiffPoly", coef: int) -> "DiffPoly":
         if self.system is not other.system:
             raise ValueError("expressions belong to different systems")
-        out = dict(self._terms)
-        for k, v in other._terms.items():
-            nv = out.get(k, Fraction(0)) + (-v if flip else v)
-            if nv == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nv
-        return DiffPoly(self.system, out)
+        acc = dict(self._terms)
+        _add_scaled(acc, other._terms, coef)
+        return _poly(self.system, acc)
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        return self._merged(other, flip=False)
+        return self._merged(other, 1)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self._merged(other, flip=True)
+        return self._merged(other, -1)
 
     def __neg__(self) -> "DiffPoly":
         return DiffPoly(self.system, {k: -v for k, v in self._terms.items()})
@@ -437,9 +421,6 @@ class DiffPoly:
 
     def filter(self, pred: Callable[[Word, int], bool]) -> "DiffPoly":
         return DiffPoly(self.system, {k: v for k, v in self._terms.items() if pred(k[0], k[1])})
-
-    def restrict_lam(self, lam: int) -> "DiffPoly":
-        return self.filter(lambda w, l: l == lam)
 
     # -- derivatives ---------------------------------------------------------
 
@@ -505,9 +486,6 @@ class DiffPoly:
                 return None
         return out
 
-    def total_dz(self) -> Dict[TermKey, int]:
-        return {k: sum(dg.dz for dg in k[0]) for k in self._terms}
-
     # -- serialization ----------------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -559,11 +537,10 @@ def euler_derivative(p: DiffPoly, name: str, index: int) -> DiffPoly:
     if p.system.species != "vertex":
         raise ValueError("euler_derivative is defined for vertex-species systems")
     orders = sorted({dg.dz for (w, _) in p._terms for dg in w if dg.base_key == (name, index)})
-    out = p.system.zero()
+    acc: Dict[TermKey, Fraction] = {}
     for k in orders:
-        q = p.partial(DerivedGenerator(name, index, k, 0))
-        out = out + q.dz(k).scale(Fraction((-1) ** k))
-    return out
+        _add_scaled(acc, p.partial(DerivedGenerator(name, index, k, 0)).dz(k)._terms, (-1) ** k)
+    return _poly(p.system, acc)
 
 
 # -- integration by parts ------------------------------------------------------
@@ -620,6 +597,46 @@ def _enumerate_slice(system: System, profile: Tuple[Tuple[str, int, int], ...], 
     return sorted(set(words), key=lambda w: tuple(map(_dg_sort_key, w)))
 
 
+def _axpy(dst: Dict, src: Dict, f) -> None:
+    """dst -= f * src, dropping the entries that cancel."""
+    for k, c in src.items():
+        nv = dst.get(k, 0) - f * c
+        if nv:
+            dst[k] = nv
+        else:
+            dst.pop(k, None)
+
+
+def _reduce(rows, vec: Dict, combo: Dict) -> None:
+    """Eliminate ``vec`` against reduced rows ``(pivot, vec, combo)`` in place.
+
+    ``combo`` tracks the preimage: if every row's vec is the image of its
+    combo, then ``vec`` changes by the image of the change of ``combo``.
+    """
+    for piv, rvec, rcombo in rows:
+        f = vec.get(piv)
+        if f:
+            _axpy(vec, rvec, f)
+            _axpy(combo, rcombo, f)
+
+
+def _insert_row(rows: list, vec: Dict, combo: Dict) -> None:
+    """Add a reduced nonzero ``vec`` to ``rows``: scale its smallest key (the
+    pivot) to 1, clear that pivot from the other rows and keep the rows in
+    pivot order, so they stay in reduced echelon form."""
+    piv = min(vec)
+    f = vec[piv]
+    vec = {k: c / f for k, c in vec.items()}
+    combo = {k: c / f for k, c in combo.items()}
+    for _, ovec, ocombo in rows:
+        g = ovec.get(piv)
+        if g:
+            _axpy(ovec, vec, g)
+            _axpy(ocombo, combo, g)
+    rows.append((piv, vec, combo))
+    rows.sort(key=lambda r: r[0])
+
+
 @lru_cache(maxsize=1024)
 def _slice_reduction(signature, profile: Tuple[Tuple[str, int, int], ...], total_dz: int):
     """Row-reduced image of T on a graded slice of the system declared by ``signature``.
@@ -637,54 +654,11 @@ def _slice_reduction(signature, profile: Tuple[Tuple[str, int, int], ...], total
 
     rows: List[Tuple[int, Dict[int, Fraction], Dict[Word, Fraction]]] = []
     for pw in pre_basis:
-        image = system.monomial(pw).dz()
-        vec: Dict[int, Fraction] = {}
-        for (w, lam), c in image._terms.items():
-            vec[basis_index[w]] = vec.get(basis_index[w], Fraction(0)) + c
-        vec = {i: c for i, c in vec.items() if c != 0}
+        vec = {basis_index[w]: c for (w, _), c in system.monomial(pw).dz()._terms.items()}
         combo: Dict[Word, Fraction] = {pw: Fraction(1)}
-        # eliminate against existing rows
-        for piv, rvec, rcombo in rows:
-            if piv in vec:
-                f = vec[piv]
-                for i, c in rvec.items():
-                    nv = vec.get(i, Fraction(0)) - f * c
-                    if nv == 0:
-                        vec.pop(i, None)
-                    else:
-                        vec[i] = nv
-                for w, c in rcombo.items():
-                    nv = combo.get(w, Fraction(0)) - f * c
-                    if nv == 0:
-                        combo.pop(w, None)
-                    else:
-                        combo[w] = nv
-        if not vec:
-            continue
-        piv = min(vec)
-        f = vec[piv]
-        vec = {i: c / f for i, c in vec.items()}
-        combo = {w: c / f for w, c in combo.items()}
-        # back-substitute into existing rows
-        new_rows = []
-        for opiv, ovec, ocombo in rows:
-            if piv in ovec:
-                g = ovec[piv]
-                for i, c in vec.items():
-                    nv = ovec.get(i, Fraction(0)) - g * c
-                    if nv == 0:
-                        ovec.pop(i, None)
-                    else:
-                        ovec[i] = nv
-                for w, c in combo.items():
-                    nv = ocombo.get(w, Fraction(0)) - g * c
-                    if nv == 0:
-                        ocombo.pop(w, None)
-                    else:
-                        ocombo[w] = nv
-            new_rows.append((opiv, ovec, ocombo))
-        new_rows.append((piv, vec, combo))
-        rows = sorted(new_rows, key=lambda r: r[0])
+        _reduce(rows, vec, combo)
+        if vec:
+            _insert_row(rows, vec, combo)
     return basis_index, tuple(rows)
 
 
@@ -708,24 +682,13 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
     h_terms: Dict[TermKey, Fraction] = {}
     for (profile, dzsum, lam), vec_by_word in groups.items():
         basis_index, rows = _slice_reduction(sys_.signature, profile, dzsum)
+        basis = list(basis_index)
         vec = {basis_index[w]: c for w, c in vec_by_word.items()}
-        inv_index = {i: w for w, i in basis_index.items()}
-        for piv, rvec, rcombo in rows:
-            f = vec.get(piv)
-            if not f:
-                continue
-            for i, c in rvec.items():
-                vec[i] = vec[i] - f * c if i in vec else -f * c
-            for w, c in rcombo.items():
-                key, v = (w, lam), f * c
-                old = c_terms.get(key)
-                c_terms[key] = v if old is None else old + v
-        for i, c in vec.items():
-            if c != 0:
-                h_terms[(inv_index[i], lam)] = h_terms.get((inv_index[i], lam), Fraction(0)) + c
-    C = DiffPoly(sys_, {k: v for k, v in c_terms.items() if v != 0})
-    h = DiffPoly(sys_, {k: v for k, v in h_terms.items() if v != 0})
-    return C, h
+        combo: Dict[Word, Fraction] = {}
+        _reduce(rows, vec, combo)  # now p = T(-combo) + vec on this slice
+        c_terms.update({(w, lam): -c for w, c in combo.items()})
+        h_terms.update({(basis[i], lam): c for i, c in vec.items()})
+    return DiffPoly(sys_, c_terms), DiffPoly(sys_, h_terms)
 
 
 class Derivation:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .algebra import DiffPoly, Scalar, System
+from .algebra import DerivedGenerator, DiffPoly, Scalar, System, _insert_row, _poly, _reduce
 from .vertex import (
     ModeElement,
     delta_bcov,
@@ -32,6 +32,7 @@ from .vertex import (
 from .moyal import FedosovSolution, fedosov_solve
 from .correspondence import (
     BackgroundSubstitution,
+    background_only,
     index_weight,
     phi,
     restrict_index_weight,
@@ -66,23 +67,15 @@ def psi_coefficient(exponents: Sequence[int]) -> Scalar:
     return Scalar.of(coef)
 
 
-def _positive_multisets(m: int, total: int) -> Iterator[Tuple[int, ...]]:
-    """Weakly increasing m-tuples of positive integers with given sum."""
+def _positive_multisets(m: int, total: int, lo: int = 1) -> Iterator[Tuple[int, ...]]:
+    """Weakly increasing m-tuples of integers >= lo (positive by default) with given sum."""
     if m == 0:
         if total == 0:
             yield ()
         return
-
-    def rec(slots: int, tot: int, lo: int) -> Iterator[Tuple[int, ...]]:
-        if slots == 0:
-            if tot == 0:
-                yield ()
-            return
-        for v in range(lo, tot - (slots - 1) + 1):
-            for rest in rec(slots - 1, tot - v, v):
-                yield (v,) + rest
-
-    yield from rec(m, total, 1)
+    for v in range(lo, total - (m - 1) + 1):
+        for rest in _positive_multisets(m - 1, total - v, v):
+            yield (v,) + rest
 
 
 def bcov_classical(system: System, deg_max: int) -> DiffPoly:
@@ -93,7 +86,7 @@ def bcov_classical(system: System, deg_max: int) -> DiffPoly:
     """
     if deg_max < 3:
         raise ValueError("the classical interaction starts at degree 3")
-    out = system.zero()
+    terms = []
     for n in range(3, deg_max + 1):
         for k in range(n):
             m = n - 1 - k
@@ -114,8 +107,8 @@ def bcov_classical(system: System, deg_max: int) -> DiffPoly:
                     word = [system.gen("b", 0)] * k
                     word += [system.gen("b", ki) for ki in kvec]
                     word.append(system.gen("eta", l))
-                    out = out + system.monomial(word, coef=coef)
-    return out
+                    terms.append((word, Scalar.of(coef)))
+    return system.poly(terms)
 
 
 def check_equivariant(p: DiffPoly) -> bool:
@@ -155,10 +148,6 @@ class ClassicalLimitReport:
         return self.difference.is_zero() and self.scalar is not None
 
 
-def _dz_free(p: DiffPoly) -> DiffPoly:
-    return p.filter(lambda w, l: all(dg.dz == 0 for dg in w))
-
-
 def _classical_sector(p: DiffPoly, tmax: int, deg_max: int) -> DiffPoly:
     """Monomials where the comparison is exact: dz-free, degree <= deg_max,
     and either index weight <= tmax or free of descendant b_{>=1} fields
@@ -190,7 +179,7 @@ def verify_classical_limit(
     system, _ = make_bcov(kmax)
     bg = BackgroundSubstitution(kmax=kmax)
     image = phi(sol.j(), system, bg).part(0)
-    lhs = _classical_sector(_dz_free(image), tmax, deg_max)
+    lhs = _classical_sector(image, tmax, deg_max)
     rhs = _classical_sector(bcov_classical(system, deg_max), tmax, deg_max)
 
     # fit the permitted global scalar on the reference family b_0^k eta_{k-2}
@@ -230,76 +219,39 @@ class QuantumMCReport:
         return self.repaired_residual is not None and self.repaired_residual.is_zero()
 
 
-def _is_background_only(word) -> bool:
-    return all(dg.name != "b" or dg.index > 0 for dg in word)
-
-
 def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[DiffPoly]:
     """Find background-only j with NF(delta oint j) = -residual, if it exists.
 
     Candidates replace one dz-carrying eta_l factor of a residual term by
-    the b_{l+1} preimage; the resulting small linear system is solved
-    exactly.  Returns None when the residual is not delta-exact in the
-    central sector.
+    the b_{l+1} preimage.  Their images are reduced in candidate order; a
+    candidate whose image is already spanned is dropped, and the residual
+    reduced against the rest gives the unique solution on them.  Returns
+    None when the residual is not delta-exact in the central sector.
     """
     delta = delta_bcov(system)
 
-    def nf_vec(p: DiffPoly) -> Dict:
-        nf = mode_normal_form(ModeElement.zero_mode(p)).part(0)
-        return dict(nf._terms)
+    def nf_terms(p: DiffPoly) -> Dict:
+        return dict(mode_normal_form(ModeElement.zero_mode(p)).part(0)._terms)
 
-    candidates = []
-    seen = set()
+    candidates: Dict = {}  # term keys in first-seen order
     for (word, lam) in residual._terms:
         for i, dg in enumerate(word):
             if dg.name == "eta" and dg.dz >= 1 and system.has("b", dg.index + 1):
-                from .algebra import DerivedGenerator
-
-                repl = DerivedGenerator("b", dg.index + 1, dg.dz - 1, 0)
-                cand = system.monomial(word[:i] + (repl,) + word[i + 1 :], lam=lam)
-                for (cw, cl) in cand._terms:
-                    if (cw, cl) not in seen:
-                        seen.add((cw, cl))
-                        candidates.append(system.monomial(list(cw), lam=cl))
+                cand = word[:i] + (DerivedGenerator("b", dg.index + 1, dg.dz - 1, 0),) + word[i + 1 :]
+                candidates.update(dict.fromkeys(system.monomial(cand, lam=lam)._terms))
     if not candidates:
         return None if not residual.is_zero() else system.zero()
 
-    target = {k: -v for k, v in nf_vec(residual).items()}
-    rows = [nf_vec(delta(c)) for c in candidates]
-    # exact Gaussian elimination over the union of term keys
-    keys = sorted({k for row in rows for k in row} | set(target),
-                  key=lambda k: (str(k[0]), k[1]))
-    mat = [[row.get(k, Fraction(0)) for k in keys] + [Fraction(0)] for row in rows]
-    rhs = [target.get(k, Fraction(0)) for k in keys]
-    # solve sum_i x_i * rows[i] = target  (transpose system)
-    ncand = len(candidates)
-    aug = [[mat[i][j] for i in range(ncand)] + [rhs[j]] for j in range(len(keys))]
-    pivots = []
-    r = 0
-    for c in range(ncand):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        f = aug[r][c]
-        aug[r] = [v / f for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                g = aug[i][c]
-                aug[i] = [a - g * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][-1] != 0:
-            return None  # inconsistent: residual not delta-exact here
-    x = [Fraction(0)] * ncand
-    for row_i, c in enumerate(pivots):
-        x[c] = aug[row_i][-1]
-    out = system.zero()
-    for xi, cand in zip(x, candidates):
-        if xi:
-            out = out + cand.scale(xi)
-    return out
+    rows: list = []
+    for key in candidates:
+        vec, combo = nf_terms(delta(DiffPoly(system, {key: Fraction(1)}))), {key: Fraction(1)}
+        _reduce(rows, vec, combo)
+        if vec:
+            _insert_row(rows, vec, combo)
+    # residual + delta(x) reduces to what is left of the residual
+    vec, x = nf_terms(residual), {}
+    _reduce(rows, vec, x)
+    return None if vec else _poly(system, x)
 
 
 def bcov_mc_report(tmax: int, wmax: int, solution: Optional[FedosovSolution] = None) -> QuantumMCReport:
@@ -322,7 +274,7 @@ def bcov_mc_report(tmax: int, wmax: int, solution: Optional[FedosovSolution] = N
     br = nth_product(I, 0, I, tbl).scale(Fraction(PHI_BRACKET_ORIENTATION, 2))
     raw = restrict_index_weight(delta(I) + br, wmax)
     raw_nf = mode_normal_form(ModeElement.zero_mode(raw)).part(0)
-    purely_central = all(_is_background_only(w) for (w, _) in raw_nf._terms)
+    purely_central = all(background_only(w) for (w, _) in raw_nf._terms)
     counterterm = _solve_central_counterterm(system, raw_nf) if purely_central else None
     repaired = None
     if counterterm is not None:

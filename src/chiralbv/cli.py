@@ -11,9 +11,10 @@ Subcommands mirror the package's verification surfaces:
     chiralbv props [--cases N] [--seed S]
 
 Every run emits a versioned JSON report (schema "1"); the exit code is 0
-iff every check passed, 2 on usage errors and malformed input files, 3 on
-truncation-budget overflow.  Reports are byte-identical across thread
-counts apart from the wall_time_s field.
+iff every check passed, 2 on usage errors (an argument out of range
+included) and malformed input files, 3 on truncation-budget overflow.
+Reports are byte-identical across thread counts apart from the
+wall_time_s field.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .algebra import BudgetError, DiffPoly
 from .vertex import ModeElement, mode_normal_form
@@ -33,7 +34,7 @@ from . import moyal
 from . import bcov as bcov_mod
 from . import psm as psm_mod
 from .correspondence import BackgroundSubstitution, phi as phi_map
-from .properties import ALL_SUITES
+from .properties import ALL_SUITES, run_suite
 from .vertex import make_bcov
 
 EXIT_OK = 0
@@ -58,11 +59,51 @@ def _load(path: str, parse):
         raise InputError(f"{path}: {msg}") from None
 
 
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("CHIRALBV_THREADS")
-    return int(env) if env else 1
+def _at_least(lo: int) -> Callable[[str], int]:
+    """argparse type: an integer >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _exponents(text: str) -> List[int]:
+    """argparse type: comma-separated integers >= 0."""
+    return [_at_least(0)(x) for x in text.split(",")]
+
+
+def _argument_problem(args) -> Optional[str]:
+    """The range checks argparse cannot make alone; fills in args.threads."""
+    if args.threads is None:
+        try:
+            args.threads = _at_least(1)(os.environ.get("CHIRALBV_THREADS") or "1")
+        except argparse.ArgumentTypeError as exc:
+            return f"environment variable CHIRALBV_THREADS: {exc}"
+    if args.func is cmd_renorm_ucheck:
+        from .renorm import MAX_K, MAX_M  # scipy; loaded only for this command
+
+        if args.m > MAX_M:
+            return f"argument --m: must be <= {MAX_M}, got {args.m}"
+        if len(args.k) != args.m + 1:
+            return f"argument --k: expected {args.m + 1} exponents for --m {args.m}, got {len(args.k)}"
+        if max(args.k) > MAX_K:
+            return f"argument --k: exponents must be <= {MAX_K}"
+    return None
+
+
+def _map(threads: int, fn, items) -> list:
+    """[fn(x) for x in items], on a thread pool when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _report(command: str, parameters: dict, checks: List[dict], extra: Optional[dict] = None) -> dict:
@@ -89,10 +130,6 @@ def _emit(rep: dict, out: Optional[str], started: float) -> int:
     return EXIT_OK if rep["pass"] else EXIT_FAIL
 
 
-def _frac(f: Fraction) -> str:
-    return str(f)
-
-
 def cmd_fedosov_solve(args) -> int:
     started = time.time()
     sol = moyal.fedosov_solve(args.tmax)
@@ -116,13 +153,12 @@ def cmd_fedosov_solve(args) -> int:
 
 def cmd_bcov_verify(args) -> int:
     started = time.time()
-    threads = _thread_count(args)
     sol = moyal.fedosov_solve(args.tmax)
 
     def check_classical() -> dict:
         rep = bcov_mod.verify_classical_limit(args.tmax, args.degmax, solution=sol)
         return {"name": "classical-limit", "pass": rep.exact_match,
-                "detail": {"global_scalar": _frac(rep.scalar) if rep.scalar is not None else None,
+                "detail": {"global_scalar": str(rep.scalar) if rep.scalar is not None else None,
                            "compared_terms": rep.compared_terms,
                            "difference_zero": rep.difference.is_zero()}}
 
@@ -162,12 +198,8 @@ def cmd_bcov_verify(args) -> int:
         return {"name": "integrality-even-dz", "pass": ok}
 
     tasks = [check_classical, check_equivariance, check_stationary, check_quantum_mc, check_integrality]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(lambda f: f(), tasks))
-    else:
-        checks = [f() for f in tasks]
-    rep = _report("bcov verify", {"tmax": args.tmax, "degmax": args.degmax, "threads": threads}, checks)
+    checks = _map(args.threads, lambda f: f(), tasks)
+    rep = _report("bcov verify", {"tmax": args.tmax, "degmax": args.degmax, "threads": args.threads}, checks)
     return _emit(rep, args.out, started)
 
 
@@ -187,19 +219,14 @@ def cmd_phi(args) -> int:
 
 def cmd_w_commute(args) -> int:
     started = time.time()
-    threads = _thread_count(args)
     pairs = [(j, k) for j in range(2, args.jmax + 1) for k in range(j, args.jmax + 1)]
 
     def one(p):
         j, k = p
         return {"name": f"commutator-{j}-{k}", "pass": bcov_mod.stationary_commutator(j, k).is_zero()}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(one, pairs))
-    else:
-        checks = [one(p) for p in pairs]
-    rep = _report("w-commute", {"jmax": args.jmax, "threads": threads}, checks)
+    checks = _map(args.threads, one, pairs)
+    rep = _report("w-commute", {"jmax": args.jmax, "threads": args.threads}, checks)
     return _emit(rep, args.out, started)
 
 
@@ -230,88 +257,80 @@ def cmd_renorm_ucheck(args) -> int:
     from . import renorm  # scipy; imported only for this command
 
     started = time.time()
-    ks = [int(x) for x in args.k.split(",")]
-    r = renorm.residue_identity_report(args.m, ks)
+    r = renorm.residue_identity_report(args.m, args.k)
     tol = args.tol
     checks = [
         {"name": "quadrature-vs-oracle", "pass": r["quadrature_vs_exact"] <= tol,
          "detail": {"difference": r["quadrature_vs_exact"]}},
         {"name": "ratio-is-m-plus-1", "pass": r["ratio_exact"] == Fraction(args.m + 1),
-         "detail": {"ratio": _frac(r["ratio_exact"])}},
+         "detail": {"ratio": str(r["ratio_exact"])}},
     ]
-    rep = _report("renorm ucheck", {"m": args.m, "k": ks, "tol": tol}, checks,
-                  {"S": r["S_quadrature"], "S_exact": _frac(r["S_exact"]),
-                   "rhs": _frac(r["rhs"]), "ratio": _frac(r["ratio_exact"])})
+    rep = _report("renorm ucheck", {"m": args.m, "k": args.k, "tol": tol}, checks,
+                  {"S": r["S_quadrature"], "S_exact": str(r["S_exact"]),
+                   "rhs": str(r["rhs"]), "ratio": str(r["ratio_exact"])})
     return _emit(rep, args.out, started)
 
 
 def cmd_props(args) -> int:
     started = time.time()
-    threads = _thread_count(args)
-    names = list(ALL_SUITES)
 
     def one(name):
-        from .properties import run_suite
         return run_suite(name, seed=args.seed, cases=args.cases).as_obj()
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(one, names))
-    else:
-        checks = [one(n) for n in names]
-    rep = _report("props", {"cases": args.cases, "seed": args.seed, "threads": threads}, checks)
+    checks = _map(args.threads, one, list(ALL_SUITES))
+    rep = _report("props", {"cases": args.cases, "seed": args.seed, "threads": args.threads}, checks)
     return _emit(rep, args.out, started)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chiralbv", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--threads", type=int, default=None,
+    ap.add_argument("--threads", type=_at_least(1), default=None,
                     help="worker threads for independent checks (default: CHIRALBV_THREADS or 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     fed = sub.add_parser("fedosov", help="flat-connection solver").add_subparsers(dest="sub", required=True)
     s = fed.add_parser("solve", help="solve delta J + [J,J]/2 = 0 through T <= tmax")
-    s.add_argument("--tmax", type=int, required=True)
+    s.add_argument("--tmax", type=_at_least(0), required=True)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_fedosov_solve)
 
     bv = sub.add_parser("bcov", help="BCOV identity checks").add_subparsers(dest="sub", required=True)
     s = bv.add_parser("verify", help="classical limit, gradings, commuting Hamiltonians")
-    s.add_argument("--tmax", type=int, required=True)
-    s.add_argument("--degmax", type=int, required=True)
+    s.add_argument("--tmax", type=_at_least(0), required=True)
+    s.add_argument("--degmax", type=_at_least(3), required=True)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_bcov_verify)
 
     s = sub.add_parser("phi", help="apply the chiral-mode transport to a Moyal element")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--kmax", type=int, default=None, help="bound on the W-sum (default: exact)")
-    s.add_argument("--bg-kmax", type=int, default=6, help="background-series truncation index")
+    s.add_argument("--kmax", type=_at_least(0), default=None, help="bound on the W-sum (default: exact)")
+    s.add_argument("--bg-kmax", type=_at_least(0), default=6, help="background-series truncation index")
     s.set_defaults(func=cmd_phi)
 
     s = sub.add_parser("w-commute", help="stationary Hamiltonians commute")
-    s.add_argument("--jmax", type=int, required=True)
+    s.add_argument("--jmax", type=_at_least(2), required=True)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_w_commute)
 
     ps = sub.add_parser("psm", help="Poisson sigma-model checks").add_subparsers(dest="sub", required=True)
     s = ps.add_parser("check", help="master-equation residual for a bivector")
     s.add_argument("--poisson", required=True)
-    s.add_argument("--degmax", type=int, required=True)
+    s.add_argument("--degmax", type=_at_least(2), required=True)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_psm_check)
 
     rn = sub.add_parser("renorm", help="ordered u-integral verification").add_subparsers(dest="sub", required=True)
     s = rn.add_parser("ucheck")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--k", required=True, help="comma-separated exponents k0,k1,...")
+    s.add_argument("--m", type=_at_least(0), required=True)
+    s.add_argument("--k", type=_exponents, required=True, help="comma-separated exponents k0,k1,...")
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_renorm_ucheck)
 
     s = sub.add_parser("props", help="randomized property suites")
-    s.add_argument("--cases", type=int, default=100)
+    s.add_argument("--cases", type=_at_least(1), default=100)
     s.add_argument("--seed", type=int, default=20240901)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_props)
@@ -322,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    problem = _argument_problem(args)
+    if problem:
+        ap.error(problem)
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional
 
-from .algebra import BudgetError, DerivedGenerator, DiffPoly, System, Word
+from .algebra import BudgetError, DerivedGenerator, DiffPoly, Scalar, System, Word, _add_scaled, _poly
 from .vertex import ModeElement
 
 __all__ = [
@@ -76,7 +76,7 @@ def w_generator(k: int, system: System) -> DiffPoly:
     """
     if k < 1:
         raise ValueError("w_generator requires k >= 1")
-    out = system.zero()
+    terms = []
     for mult in _partitions(k):
         coef = Fraction(math.factorial(k))
         word: List[DerivedGenerator] = []
@@ -84,8 +84,8 @@ def w_generator(k: int, system: System) -> DiffPoly:
             coef /= math.factorial(count)
             coef /= math.factorial(part) ** count
             word.extend([system.gen("b", 0, dz=part - 1)] * count)
-        out = out + system.monomial(word, coef=coef)
-    return out
+        terms.append((word, Scalar.of(coef)))
+    return system.poly(terms)
 
 
 @dataclass(frozen=True)
@@ -113,23 +113,20 @@ class BackgroundSubstitution:
 TPoly = Dict[int, DiffPoly]  # t-degree -> vertex-side expression
 
 
-def _tpoly_add(system: System, a: TPoly, b: TPoly) -> TPoly:
-    out = dict(a)
-    for d, p in b.items():
-        out[d] = out.get(d, system.zero()) + p
+def _tpoly(system: System, acc: Dict[int, dict]) -> TPoly:
+    """The t-polynomial of raw term maps, without zero coefficients."""
+    out = {d: _poly(system, terms) for d, terms in acc.items()}
     return {d: p for d, p in out.items() if not p.is_zero()}
 
 
 def _tpoly_mul(system: System, a: TPoly, b: TPoly, dmax: Optional[int] = None) -> TPoly:
     """Product of t-polynomials, dropping t-degrees above ``dmax`` when set."""
-    out: TPoly = {}
+    acc: Dict[int, dict] = {}
     for da, pa in a.items():
         for db, pb in b.items():
-            d = da + db
-            if dmax is not None and d > dmax:
-                continue
-            out[d] = out.get(d, system.zero()) + pa.mul(pb)
-    return {d: p for d, p in out.items() if not p.is_zero()}
+            if dmax is None or da + db <= dmax:
+                pa._mul_into(acc.setdefault(da + db, {}), pb)
+    return _tpoly(system, acc)
 
 
 def substitute_background(
@@ -146,7 +143,7 @@ def substitute_background(
     monomial with total t-derivative order s yields weight d + s at
     t-degree d, and each of its factors weighs at least 1.
     """
-    out: TPoly = {}
+    acc: Dict[int, dict] = {}
     for (word, lam), c in J._terms.items():
         dmax = None
         if wmax is not None:
@@ -158,32 +155,32 @@ def substitute_background(
             term = _tpoly_mul(system, term, bg.factor_series(system, dg), dmax)
             if not term:
                 break
-        out = _tpoly_add(system, out, term)
-    return out
+        for d, p in term.items():
+            _add_scaled(acc.setdefault(d, {}), p._terms)
+    return _tpoly(system, acc)
 
 
 def shift_exp_t(tpoly: TPoly, system: System) -> TPoly:
     """Apply exp((1/2) Dz d/dt) to a t-polynomial; exact and finite."""
-    out: TPoly = {}
+    acc: Dict[int, dict] = {}
     for d, p in tpoly.items():
         for n in range(d + 1):
-            falling = Fraction(math.factorial(d), math.factorial(d - n))
-            coef = falling / (Fraction(2) ** n * math.factorial(n))
-            q = p.dz(n).scale(coef)
-            if not q.is_zero():
-                out[d - n] = out.get(d - n, system.zero()) + q
-    return {d: p for d, p in out.items() if not p.is_zero()}
+            q = p.dz(n)._terms
+            if q:
+                falling = Fraction(math.factorial(d), math.factorial(d - n))
+                _add_scaled(acc.setdefault(d - n, {}), q, falling / (Fraction(2) ** n * math.factorial(n)))
+    return _tpoly(system, acc)
 
 
 def shift_exp(J: DiffPoly, nmax: int) -> DiffPoly:
     """Truncated shift operator sum_{n<=nmax} (1/(2^n n!)) (Dz Dt)^n on B."""
-    out = J.system.zero()
+    acc: dict = {}
     cur = J
     for n in range(nmax + 1):
         if n:
             cur = cur.dz().dt()
-        out = out + cur.scale(Fraction(1, 2**n * math.factorial(n)))
-    return out
+        _add_scaled(acc, cur._terms, Fraction(1, 2**n * math.factorial(n)))
+    return _poly(J.system, acc)
 
 
 def phi(
@@ -211,11 +208,10 @@ def phi(
         raise BudgetError(
             f"phi needs W-generators up to k={needed + 1}, but kmax={kmax} was given"
         )
-    out = system.zero()
+    acc: dict = {}
     for d, p in shifted.items():
-        w = w_generator(d + 1, system)
-        out = out + w.mul(p).scale(Fraction(1, d + 1))
-    return ModeElement(system, {0: out})
+        w_generator(d + 1, system)._mul_into(acc, p, Fraction(1, d + 1))
+    return ModeElement(system, {0: _poly(system, acc)})
 
 
 def index_weight(word: Word) -> int:
@@ -227,6 +223,12 @@ def index_weight(word: Word) -> int:
         elif dg.name == "eta":
             w += dg.index + 1
     return w
+
+
+def background_only(word: Word) -> bool:
+    """True iff the word has no b0 factor (b0 is the only BCOV field that
+    contracts), so that it is central: pure background."""
+    return all(dg.name != "b" or dg.index > 0 for dg in word)
 
 
 def restrict_index_weight(p: DiffPoly, wmax: int) -> DiffPoly:
@@ -274,7 +276,7 @@ def morphism_defect(J1: DiffPoly, J2: DiffPoly, system: System, tbl, wmax: int) 
     diff = lhs - rhs.scale(Fraction(PHI_BRACKET_ORIENTATION))
     nf = mode_normal_form(ModeElement(system, {0: diff}))
     defect = nf.part(0)
-    central = defect.filter(lambda w, l: all(dg.name != "b" or dg.index > 0 for dg in w))
+    central = defect.filter(lambda w, l: background_only(w))
     return {
         "zero": nf.is_zero(),
         "defect": defect,

@@ -74,16 +74,6 @@ def _hom_parity(p: DiffPoly) -> Optional[int]:
     return pars.pop() if len(pars) == 1 else None
 
 
-def _mode_parity(x: ModeElement) -> Optional[int]:
-    pars = set()
-    for p in x.parts.values():
-        q = _hom_parity(p)
-        if q is None:
-            return None
-        pars.add(q)
-    return pars.pop() if len(pars) == 1 else None
-
-
 def suite_bracket_antisymmetry(rng: random.Random, cases: int) -> SuiteResult:
     """mode_normal_form([X,Y] + (-1)^{p(X)p(Y)} [Y,X]) == 0."""
     sys_, tbl = make_mixed_system()
@@ -118,37 +108,23 @@ def suite_bracket_jacobi(rng: random.Random, cases: int) -> SuiteResult:
 
 def suite_delta_derivation(rng: random.Random, cases: int) -> SuiteResult:
     """delta [X,Y] == [delta X, Y] + (-1)^{p(X)} [X, delta Y] mod im d."""
+    bsys, btbl = make_bcov(2)
+    psys = make_psm_system(2)
+    configs = [
+        (bsys, btbl, delta_bcov(bsys), cases // 2),
+        (psys, make_psm_table(psys, 2), psm_delta(psys, 2), cases - cases // 2),
+    ]
     failures = 0
-    half = cases // 2
-    # BCOV system
-    sys_, tbl = make_bcov(2)
-    d = delta_bcov(sys_)
-    for _ in range(half):
-        px = rng.randint(0, 1)
-        X = random_mode_element(rng, sys_, parity=px, zpow_range=(0, 1), max_terms=2, max_degree=2, max_dz=1)
-        Y = random_mode_element(rng, sys_, zpow_range=(0, 1), max_terms=2, max_degree=2, max_dz=1)
-        dX = ModeElement(sys_, {k: d(p) for k, p in X.parts.items()})
-        dY = ModeElement(sys_, {k: d(p) for k, p in Y.parts.items()})
-        br = mode_bracket(X, Y, tbl)
-        dbr = ModeElement(sys_, {k: d(p) for k, p in br.parts.items()})
-        rhs = mode_bracket(dX, Y, tbl) + mode_bracket(X, dY, tbl).scale(Fraction((-1) ** px))
-        if not mode_normal_form(dbr - rhs).is_zero():
-            failures += 1
-    # PSM system
-    sysp = make_psm_system(2)
-    tblp = make_psm_table(sysp, 2)
-    dp = psm_delta(sysp, 2)
-    for _ in range(cases - half):
-        px = rng.randint(0, 1)
-        X = random_mode_element(rng, sysp, parity=px, zpow_range=(0, 1), max_terms=2, max_degree=2, max_dz=1)
-        Y = random_mode_element(rng, sysp, zpow_range=(0, 1), max_terms=2, max_degree=2, max_dz=1)
-        dX = ModeElement(sysp, {k: dp(p) for k, p in X.parts.items()})
-        dY = ModeElement(sysp, {k: dp(p) for k, p in Y.parts.items()})
-        br = mode_bracket(X, Y, tblp)
-        dbr = ModeElement(sysp, {k: dp(p) for k, p in br.parts.items()})
-        rhs = mode_bracket(dX, Y, tblp) + mode_bracket(X, dY, tblp).scale(Fraction((-1) ** px))
-        if not mode_normal_form(dbr - rhs).is_zero():
-            failures += 1
+    for sys_, tbl, d, n in configs:
+        for _ in range(n):
+            px = rng.randint(0, 1)
+            X = random_mode_element(rng, sys_, parity=px, zpow_range=(0, 1), max_terms=2, max_degree=2, max_dz=1)
+            Y = random_mode_element(rng, sys_, zpow_range=(0, 1), max_terms=2, max_degree=2, max_dz=1)
+            dX, dY, dbr = (ModeElement(sys_, {k: d(p) for k, p in m.parts.items()})
+                           for m in (X, Y, mode_bracket(X, Y, tbl)))
+            rhs = mode_bracket(dX, Y, tbl) + mode_bracket(X, dY, tbl).scale(Fraction((-1) ** px))
+            if not mode_normal_form(dbr - rhs).is_zero():
+                failures += 1
     return SuiteResult("delta-derivation-of-bracket", cases, failures)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Derivation, DiffPoly, Generator, Scalar, System
+from .algebra import Derivation, DiffPoly, Generator, Scalar, System, _add_scaled, _poly
 from .vertex import ContractionTable, ModeElement, mc_residual
 
 __all__ = [
@@ -39,20 +39,12 @@ PolyDict = Dict[Tuple[int, ...], Fraction]  # exponent vector -> coefficient
 def _poly_mul(a: PolyDict, b: PolyDict) -> PolyDict:
     out: PolyDict = {}
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+        _add_scaled(out, {tuple(x + y for x, y in zip(ea, eb)): cb for eb, cb in b.items()}, ca)
     return {e: c for e, c in out.items() if c != 0}
 
 
 def _poly_diff(a: PolyDict, i: int) -> PolyDict:
-    out: PolyDict = {}
-    for e, c in a.items():
-        if e[i]:
-            de = list(e)
-            de[i] -= 1
-            out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
-    return out
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]}
 
 
 @dataclass
@@ -93,9 +85,7 @@ class PoissonBivector:
                     acc: PolyDict = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for l in range(n):
-                            term = _poly_mul(self.component(a, l), _poly_diff(self.component(b, c), l))
-                            for e, v in term.items():
-                                acc[e] = acc.get(e, Fraction(0)) + v
+                            _add_scaled(acc, _poly_mul(self.component(a, l), _poly_diff(self.component(b, c), l)))
                     acc = {e: v for e, v in acc.items() if v != 0}
                     if acc:
                         out[(i, j, k)] = acc
@@ -130,9 +120,8 @@ class PoissonBivector:
         entries: Dict[Tuple[int, int], PolyDict] = {}
         for ent in obj["entries"]:
             key = (int(ent["i"]), int(ent["j"]))
-            poly = entries.setdefault(key, {})
             e = tuple(int(x) for x in ent["exps"])
-            poly[e] = poly.get(e, Fraction(0)) + Fraction(int(ent["num"]), int(ent.get("den", 1)))
+            _add_scaled(entries.setdefault(key, {}), {e: Fraction(int(ent["num"]), int(ent.get("den", 1)))})
         return PoissonBivector(int(obj["dim"]), entries)
 
 
@@ -162,7 +151,7 @@ def _superfield(system: System, zero: str, one: str, i: int) -> DiffPoly:
 
 
 def _eval_poly(system: System, poly: PolyDict, fields: List[DiffPoly], deg_max: int) -> DiffPoly:
-    out = system.zero()
+    acc: dict = {}
     for e, c in poly.items():
         if sum(e) + 2 > deg_max:
             continue
@@ -170,8 +159,8 @@ def _eval_poly(system: System, poly: PolyDict, fields: List[DiffPoly], deg_max: 
         for i, p in enumerate(e):
             for _ in range(p):
                 term = term.mul(fields[i], max_degree=deg_max + 1)
-        out = out + term
-    return out
+        _add_scaled(acc, term._terms)
+    return _poly(system, acc)
 
 
 def _dz_component(p: DiffPoly) -> DiffPoly:
@@ -198,16 +187,14 @@ def build_psm(P: PoissonBivector, deg_max: int) -> Tuple[System, ContractionTabl
     tbl = make_psm_table(system, n)
     phis = [_superfield(system, "phi", "phiw", i) for i in range(n)]
     etas = [_superfield(system, "eta", "etaw", i) for i in range(n)]
-    I = system.zero()
+    acc: dict = {}
     for i in range(n):
         for j in range(n):
             poly = P.component(i, j)
-            if not poly:
-                continue
-            piece = _eval_poly(system, poly, phis, deg_max)
-            piece = piece.mul(etas[i], max_degree=deg_max + 1).mul(etas[j], max_degree=deg_max + 1)
-            I = I + piece
-    return system, tbl, _dz_component(I)
+            if poly:
+                piece = _eval_poly(system, poly, phis, deg_max).mul(etas[i], max_degree=deg_max + 1)
+                piece._mul_into(acc, etas[j], max_degree=deg_max + 1)
+    return system, tbl, _dz_component(_poly(system, acc))
 
 
 def psm_delta(system: System, n: int) -> Derivation:
@@ -244,16 +231,12 @@ def trivector_functional(P: PoissonBivector, system: System, deg_max: int) -> Di
     n = P.dim
     phis = [_superfield(system, "phi", "phiw", i) for i in range(n)]
     etas = [_superfield(system, "eta", "etaw", i) for i in range(n)]
-    out = system.zero()
+    acc: dict = {}
     for (i, j, k), poly in P.jacobi_obstruction().items():
         piece = _eval_poly(system, poly, phis, deg_max + 1)
-        piece = (
-            piece.mul(etas[i], max_degree=deg_max + 2)
-            .mul(etas[j], max_degree=deg_max + 2)
-            .mul(etas[k], max_degree=deg_max + 2)
-        )
-        out = out + piece
-    return _dz_component(out)
+        piece = piece.mul(etas[i], max_degree=deg_max + 2).mul(etas[j], max_degree=deg_max + 2)
+        piece._mul_into(acc, etas[k], max_degree=deg_max + 2)
+    return _dz_component(_poly(system, acc))
 
 
 # -- stock bivectors --------------------------------------------------------

@@ -6,14 +6,13 @@ import random
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .algebra import DerivedGenerator, DiffPoly, System
+from .algebra import DerivedGenerator, DiffPoly, Scalar, System, _add_scaled, _poly
 from .vertex import ModeElement
 
 __all__ = [
     "random_diffpoly",
     "random_mode_element",
     "random_bexpr",
-    "random_homogeneous_parity",
 ]
 
 COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(2, 3)]
@@ -31,7 +30,7 @@ def random_diffpoly(
 ) -> DiffPoly:
     """A small random expression; `parity` restricts every monomial's parity."""
     gens = system.generators()
-    out = system.zero()
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         for _attempt in range(20):
             deg = rng.randint(1, max_degree)
@@ -44,14 +43,9 @@ def random_diffpoly(
             if parity is not None and system.word_parity(tuple(word)) != parity:
                 continue
             lam = rng.randint(*lam_range)
-            out = out + system.monomial(word, coef=rng.choice(COEFF_POOL), lam=lam)
+            terms.append((word, Scalar.of(rng.choice(COEFF_POOL), lam)))
             break
-    return out
-
-
-def random_homogeneous_parity(rng: random.Random, system: System, **kw) -> Tuple[DiffPoly, int]:
-    parity = rng.randint(0, 1)
-    return random_diffpoly(rng, system, parity=parity, **kw), parity
+    return system.poly(terms)
 
 
 def random_mode_element(
@@ -61,12 +55,11 @@ def random_mode_element(
     parity: Optional[int] = None,
     **kw,
 ) -> ModeElement:
-    parts = {}
+    parts: dict = {}
     for _ in range(rng.randint(1, 2)):
         k = rng.randint(*zpow_range)
-        p = random_diffpoly(rng, system, parity=parity, **kw)
-        parts[k] = parts.get(k, system.zero()) + p
-    return ModeElement(system, parts)
+        _add_scaled(parts.setdefault(k, {}), random_diffpoly(rng, system, parity=parity, **kw)._terms)
+    return ModeElement(system, {k: _poly(system, t) for k, t in parts.items()})
 
 
 def random_bexpr(
@@ -79,7 +72,7 @@ def random_bexpr(
 ) -> DiffPoly:
     """Random Moyal-algebra element with every term's T-level <= max_T."""
     gens = system.generators()
-    out = system.zero()
+    terms = []
     for _ in range(rng.randint(1, 2)):
         for _attempt in range(30):
             deg = rng.randint(1, max_degree)
@@ -92,6 +85,6 @@ def random_bexpr(
                 word.append(DerivedGenerator(g.name, g.index, rng.randint(0, max_dz), dt))
             if parity is not None and system.word_parity(tuple(word)) != parity:
                 continue
-            out = out + system.monomial(word, coef=rng.choice(COEFF_POOL))
+            terms.append((word, Scalar.of(rng.choice(COEFF_POOL))))
             break
-    return out
+    return system.poly(terms)

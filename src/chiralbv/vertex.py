@@ -149,8 +149,9 @@ class ContractionTable:
             a = ContractionTable._parse_flat_id(pair["a"])
             b = ContractionTable._parse_flat_id(pair["b"])
             poles = {int(k): Scalar.from_obj(v) for k, v in pair["poles"].items()}
-            if (a, b) not in entries and (b, a) not in entries:
-                entries[(a, b)] = poles
+            # every listed pair reaches the constructor, which checks each against its mirror
+            if entries.setdefault((a, b), poles) != poles:
+                raise ValueError(f"conflicting entries for pair {(a, b)}")
         return ContractionTable(system, entries)
 
 
@@ -395,10 +396,10 @@ class ModeElement:
     def __add__(self, other: "ModeElement") -> "ModeElement":
         if self.system is not other.system:
             raise ValueError("mode elements belong to different systems")
-        parts = dict(self.parts)
+        parts = {k: dict(p._terms) for k, p in self.parts.items()}
         for k, p in other.parts.items():
-            parts[k] = parts.get(k, self.system.zero()) + p
-        return ModeElement(self.system, parts)
+            _add_scaled(parts.setdefault(k, {}), p._terms)
+        return ModeElement(self.system, {k: _poly(self.system, t) for k, t in parts.items()})
 
     def __sub__(self, other: "ModeElement") -> "ModeElement":
         return self + other.scale(Fraction(-1))
@@ -470,29 +471,23 @@ def mode_normal_form(X: ModeElement) -> ModeElement:
     V[z,1/z]/im d.
     """
     sys_ = X.system
-    pending = {k: p for k, p in X.parts.items()}
-    result: Dict[int, DiffPoly] = {}
+    pending = {k: dict(p._terms) for k, p in X.parts.items()}
+    result: Dict[int, Dict[TermKey, Fraction]] = {}
     while pending:
         k = max(pending)
-        p = pending.pop(k)
-        if p.is_zero():
-            continue
-        const = p.constant_part()
-        if const:
-            nonconst = p.filter(lambda w, l: bool(w))
+        p = _poly(sys_, pending.pop(k))
+        out = result.setdefault(k, {})
+        if p.constant_part():
             if k == -1:
-                keep = p - nonconst
-                result[k] = result.get(k, sys_.zero()) + keep
-            p = nonconst
+                _add_scaled(out, p.filter(lambda w, l: not w)._terms)
+            p = p.filter(lambda w, l: bool(w))
         if p.is_zero():
             continue
         C, h = ibp_decompose(p)
-        if not h.is_zero():
-            result[k] = result.get(k, sys_.zero()) + h
+        _add_scaled(out, h._terms)
         if k != 0 and not C.is_zero():
-            carried = C.scale(Fraction(-k))
-            pending[k - 1] = pending.get(k - 1, sys_.zero()) + carried
-    return ModeElement(sys_, result)
+            _add_scaled(pending.setdefault(k - 1, {}), C._terms, -k)
+    return ModeElement(sys_, {k: _poly(sys_, terms) for k, terms in result.items()})
 
 
 def mc_residual(

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from chiralbv.bcov import (
 )
 from chiralbv.correspondence import BackgroundSubstitution, phi, restrict_index_weight
 from chiralbv.moyal import fedosov_solve
-from chiralbv.vertex import ModeElement, make_bcov, mode_normal_form
+from chiralbv.algebra import DerivedGenerator
+from chiralbv.vertex import ModeElement, delta_bcov, make_bcov, mode_normal_form
 
 
 def test_psi_coefficient_values():
@@ -140,3 +142,83 @@ def test_quantum_mc_central_repair():
         [system.gen("eta", 0, dz=1), system.gen("eta", 0, dz=2)], coef=Fraction(-1, 24)
     )
     assert rep.raw_residual.to_obj() == expect.to_obj()
+    # of the two candidates b1 Dz2eta0 and Dz1b1 Dz1eta0, whose images are
+    # proportional, the first is kept
+    assert rep.counterterm.to_obj() == {"terms": [{
+        "mono": [{"gen": "b", "k": 1, "dz": 0, "dt": 0}, {"gen": "eta", "k": 0, "dz": 2, "dt": 0}],
+        "coef": {"num": 1, "den": 24, "lam": 0},
+    }]}
+
+
+def _dense_counterterm_oracle(system, residual):
+    """The former dense Gauss-Jordan with column pivoting on the transposed system."""
+    delta = delta_bcov(system)
+
+    def nf_vec(p):
+        return dict(mode_normal_form(ModeElement.zero_mode(p)).part(0)._terms)
+
+    candidates, seen = [], set()
+    for (word, lam) in residual._terms:
+        for i, dg in enumerate(word):
+            if dg.name == "eta" and dg.dz >= 1 and system.has("b", dg.index + 1):
+                repl = DerivedGenerator("b", dg.index + 1, dg.dz - 1, 0)
+                for key in system.monomial(word[:i] + (repl,) + word[i + 1 :], lam=lam)._terms:
+                    if key not in seen:
+                        seen.add(key)
+                        candidates.append(system.monomial(list(key[0]), lam=key[1]))
+    if not candidates:
+        return None if not residual.is_zero() else system.zero()
+    target = {k: -v for k, v in nf_vec(residual).items()}
+    rows = [nf_vec(delta(c)) for c in candidates]
+    keys = sorted({k for row in rows for k in row} | set(target), key=lambda k: (str(k[0]), k[1]))
+    aug = [[row.get(k, Fraction(0)) for row in rows] + [target.get(k, Fraction(0))] for k in keys]
+    pivots, r = [], 0
+    for c in range(len(candidates)):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                g = aug[i][c]
+                aug[i] = [a - g * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(aug[i][-1] != 0 for i in range(r, len(aug))):
+        return None
+    out = system.zero()
+    for row_i, c in enumerate(pivots):
+        if aug[row_i][-1]:
+            out = out + candidates[c].scale(aug[row_i][-1])
+    return out
+
+
+def test_counterterm_matches_former_dense_solve():
+    """Seeded delta-exact residuals (with linearly dependent candidates) and
+    non-exact ones: the shared eliminator returns the former solution."""
+    from chiralbv.bcov import _solve_central_counterterm
+    from chiralbv.correspondence import background_only
+    from chiralbv.sampling import random_diffpoly
+
+    rng = random.Random(89)
+    system, _ = make_bcov(3)
+    delta = delta_bcov(system)
+    solved = unsolvable = 0
+    for n in range(40):
+        j = random_diffpoly(rng, system, max_terms=3, max_degree=3, max_dz=2)
+        j = j.filter(lambda w, l: background_only(w))
+        residual = mode_normal_form(ModeElement.zero_mode(delta(j))).part(0)
+        if n % 4 == 0:
+            residual = residual + random_diffpoly(rng, system, max_terms=1, max_degree=2, max_dz=2)
+        got = _solve_central_counterterm(system, residual)
+        expect = _dense_counterterm_oracle(system, residual)
+        assert (got is None) == (expect is None)
+        if got is not None:
+            assert got == expect
+            solved += not got.is_zero()
+        unsolvable += got is None
+    assert solved >= 10 and unsolvable >= 3
+    for tmax, wmax in ((3, 3), (4, 2)):
+        rep = bcov_mc_report(tmax, wmax)
+        assert rep.counterterm.to_obj() == _dense_counterterm_oracle(rep.raw_residual.system, rep.raw_residual).to_obj()

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import chiralbv
 from chiralbv.cli import run
@@ -163,11 +166,39 @@ def test_phi_budget_overflow_exit_3(tmp_path):
     assert run(["phi", "--in", str(infile), "--bg-kmax", "3", "--kmax", "0"]) == 3
 
 
-def test_usage_error_exit_2():
+def test_usage_error_exit_2(capsys, monkeypatch):
     proc = run_cli("fedosov", "solve")  # missing --tmax
     assert proc.returncode == 2
     proc = run_cli("no-such-command")
     assert proc.returncode == 2
+    proc = run_cli("fedosov", "solve", "--tmax", "-1")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+    def usage_error(argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        return capsys.readouterr().err.strip().splitlines()[-1]
+
+    # out-of-range numbers are rejected while parsing, naming the argument
+    for argv, name in [
+        (["bcov", "verify", "--tmax", "-1", "--degmax", "4"], "--tmax"),
+        (["bcov", "verify", "--tmax", "1", "--degmax", "2"], "--degmax"),
+        (["renorm", "ucheck", "--m", "1", "--k", "0,x"], "--k"),
+        (["renorm", "ucheck", "--m", "2", "--k", "0,0"], "--k"),
+        (["renorm", "ucheck", "--m", "9", "--k", "0,0"], "--m"),
+        (["renorm", "ucheck", "--m", "1", "--k", "0,9"], "--k"),
+        (["psm", "check", "--poisson", "p.json", "--degmax", "1"], "--degmax"),
+        (["psm", "check", "--poisson", "p.json", "--degmax", "-2"], "--degmax"),
+        (["w-commute", "--jmax", "1"], "--jmax"),
+        (["props", "--cases", "-1"], "--cases"),
+        (["--threads", "0", "props", "--cases", "1"], "--threads"),
+        (["phi", "--in", "j.json", "--bg-kmax", "-1"], "--bg-kmax"),
+    ]:
+        assert f"argument {name}:" in usage_error(argv), argv
+    for env in ("x", "0"):
+        monkeypatch.setenv("CHIRALBV_THREADS", env)
+        assert "CHIRALBV_THREADS" in usage_error(["w-commute", "--jmax", "2"])
 
 
 def test_props_small(tmp_path):
@@ -209,3 +240,32 @@ def test_fedosov_tmax_zero(tmp_path):
     assert rep["expression"]["terms"] == [
         {"mono": [{"gen": "et", "k": 0, "dz": 0, "dt": 0}], "coef": {"num": 1, "den": 1, "lam": 0}}
     ]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--threads", "1", "bcov", "verify", "--tmax", "2", "--degmax", "4"],
+     "70f2e007da99336d284f01d58492bba8a7874c0154713d1016cac05b3d2ea8c4"),
+    (["--threads", "1", "props", "--cases", "20", "--seed", "7"],
+     "d5a9c2102836b10873460e886013c4d0f53e10c33afff4d2d5789b7543087614"),
+    (["psm", "check", "--poisson", "so3", "--degmax", "4"],
+     "d6da2fe3e472c945bb99be44253e53258a3eda4079012c2391a17e4ea2cc6285"),
+    (["psm", "check", "--poisson", "non_jacobi", "--degmax", "4"],
+     "8299aa229755ee25603d380cde7440d39bcfb43124df585ee9e1d5161a167397"),
+], ids=["bcov-verify", "props", "psm-so3", "psm-non-jacobi"])
+def test_report_golden(tmp_path, argv, digest):
+    """sha256 of the whole report as emitted, without wall_time_s and the
+    bivector file's path (see test_fedosov_solve_report_golden)."""
+    from chiralbv.psm import non_jacobi_bivector, so3_bivector
+
+    argv = list(argv)
+    if "--poisson" in argv:
+        i = argv.index("--poisson") + 1
+        path = tmp_path / f"{argv[i]}.json"
+        path.write_text(json.dumps({"so3": so3_bivector, "non_jacobi": non_jacobi_bivector}[argv[i]]().to_obj()))
+        argv[i] = str(path)
+    out = tmp_path / "rep.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    del rep["wall_time_s"]
+    rep["parameters"].pop("poisson", None)
+    assert hashlib.sha256(json.dumps(rep).encode()).hexdigest() == digest

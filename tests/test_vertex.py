@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -41,6 +42,18 @@ def test_table_json_roundtrip():
     obj = tbl.to_obj()
     tbl2 = ContractionTable.from_obj(sys_, obj)
     assert tbl2.to_obj() == obj
+    # a listed mirror that contradicts graded symmetry is rejected, not replaced
+    bad = copy.deepcopy(obj)
+    for pair in bad["pairs"]:
+        if (pair["a"], pair["b"]) == ("d0", "c0"):
+            pair["poles"] = {"1": Scalar.of(7, 1).to_obj()}
+    with pytest.raises(ValueError):
+        ContractionTable.from_obj(sys_, bad)
+    # so is a pair listed twice with different poles
+    twice = copy.deepcopy(obj)
+    twice["pairs"].append({"a": "a0", "b": "a0", "poles": {"2": Scalar.of(3, 1).to_obj()}})
+    with pytest.raises(ValueError):
+        ContractionTable.from_obj(sys_, twice)
 
 
 def test_wick_heisenberg_double_pole():
