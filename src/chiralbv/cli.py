@@ -11,8 +11,9 @@ Subcommands mirror the package's verification surfaces:
     chiralbv props [--cases N] [--seed S]
 
 Every run emits a versioned JSON report (schema "1"); the exit code is 0
-iff every check passed, 2 on usage errors (an argument out of range
-included) and malformed input files, 3 on truncation-budget overflow.
+iff every check passed (1 also when stdout closes before the report is
+written), 2 on usage errors (an argument out of range included) and
+malformed input files, 3 on truncation-budget overflow.
 Reports are byte-identical across thread counts apart from the
 wall_time_s field.
 """
@@ -345,7 +346,13 @@ def run(argv: Optional[List[str]] = None) -> int:
     if problem:
         ap.error(problem)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what is left to devnull, with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except BudgetError as exc:
         print(f"budget overflow: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -49,6 +49,7 @@ BaseKey = Tuple[str, int]
 PoleMap = Dict[Tuple[int, int], Fraction]  # (pole order, lam power) -> coefficient
 Group = Tuple[DerivedGenerator, int, int]  # a factor, its multiplicity in a word, its parity
 Classes = Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], PoleMap]  # used counts -> pole map
+Term = Tuple[List[Group], int, Fraction, set, set]  # see `_grouped_terms`
 
 
 class ContractionTable:
@@ -85,6 +86,9 @@ class ContractionTable:
                 if mirror is None or mirror != expect:
                     raise ValueError(f"contraction table breaks graded symmetry at {a},{b} pole {k}")
         self._table = table
+        self._partners: Dict[BaseKey, set] = {}  # base generator -> the ones it contracts with
+        for a, b in table:
+            self._partners.setdefault(a, set()).add(b)
         self._powers: Dict[Tuple[DerivedGenerator, DerivedGenerator, int], PoleMap] = {}
 
     @staticmethod
@@ -99,6 +103,11 @@ class ContractionTable:
 
     def entry(self, a: BaseKey, b: BaseKey) -> Dict[int, Scalar]:
         return self._table.get((a, b), {})
+
+    def check_operands(self, *operands) -> None:
+        """Raise ValueError unless every operand's system is declared like the table's."""
+        if any(x.system.signature != self.system.signature for x in operands):
+            raise ValueError("operand and contraction table belong to different systems")
 
     def pole_power(self, a: DerivedGenerator, b: DerivedGenerator, k: int) -> PoleMap:
         """The k-th convolution power of the contraction of derived a with b.
@@ -281,20 +290,50 @@ def _matching_classes(tbl: ContractionTable, gA: List[Group], gB: List[Group]) -
     return classes
 
 
-def _grouped_terms(p: DiffPoly) -> List[Tuple[List[Group], int, Fraction]]:
-    """(groups of repeated factors, lam, coefficient) for each term of p."""
-    parity = p.system.parity
-    return [
-        ([(g, len(list(run)), parity(g)) for g, run in groupby(word)], lam, c)
-        for (word, lam), c in p._terms.items()
-    ]
+def _grouped_terms(p: DiffPoly, tbl: ContractionTable) -> List[Term]:
+    """(groups of repeated factors, lam, coefficient, base generators, the
+    base generators they contract with) for each term of p."""
+    parity, partners = p.system.parity, tbl._partners
+    out = []
+    for (word, lam), c in p._terms.items():
+        bases = {g[:2] for g in word}
+        reach = set().union(*(partners.get(b, ()) for b in bases))
+        out.append(([(g, len(list(run)), parity(g)) for g, run in groupby(word)], lam, c, bases, reach))
+    return out
+
+
+def _pairs(termsA: List[Term], termsB: Optional[List[Term]] = None):
+    """(tA, tB, weight) over the pairs of grouped terms that can contract.
+
+    Given termsB, all ordered pairs with weight 1.  Without it, the pairs
+    i <= k of termsA: the diagonal with weight 1, the others with
+    1 - (-1)^{p_i p_k} (see `mc_residual`).  Pairs of weight 0 and pairs
+    with no contractible generator pair contribute nothing and are skipped.
+    """
+    if termsB is None:
+        odd = [sum(m * o for _, m, o in t[0]) % 2 for t in termsA]
+        pairs = ((tA, termsA[k], 1 if k == i else 1 - (-1) ** (odd[i] * odd[k]))
+                 for i, tA in enumerate(termsA) for k in range(i, len(termsA)))
+    else:
+        pairs = ((tA, tB, 1) for tA in termsA for tB in termsB)
+    return ((tA, tB, w) for tA, tB, w in pairs if w and not tA[4].isdisjoint(tB[3]))
+
+
+def _product_sum(sys_: System, tbl: ContractionTable, n: int, pairs) -> DiffPoly:
+    """Sum of weight * tA_(n) tB over the (tA, tB, weight) of `_pairs`."""
+    acc: Dict[TermKey, Fraction] = {}
+    for tA, tB, w in pairs:
+        terms = _wick_terms(sys_, tbl, tA, tB, n, n)
+        if n in terms:
+            _add_scaled(acc, terms[n], w)
+    return _poly(sys_, acc)
 
 
 def _wick_terms(
     system: System,
     tbl: ContractionTable,
-    A: Tuple[List[Group], int, Fraction],
-    B: Tuple[List[Group], int, Fraction],
+    A: Term,
+    B: Term,
     n_min: int,
     n_max: Optional[int] = None,
 ) -> Dict[int, Dict[TermKey, Fraction]]:
@@ -305,7 +344,7 @@ def _wick_terms(
     re-expansion of the surviving z-side factors at w serves each class of
     matchings (see `_matching_classes`).
     """
-    (gA, lamA, cA), (gB, lamB, cB) = A, B
+    (gA, lamA, cA, _, _), (gB, lamB, cB, _, _) = A, B
     out: Dict[int, Dict[TermKey, Fraction]] = {}
     cAB, lamAB = cA * cB, lamA + lamB
     for (rows_left, cols_left), poles in _matching_classes(tbl, gA, gB).items():
@@ -344,7 +383,8 @@ def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) ->
     """
     if A.num_terms() != 1 or B.num_terms() != 1:
         raise ValueError("expected a monomial (single-term expression)")
-    (termA,), (termB,) = _grouped_terms(A), _grouped_terms(B)
+    tbl.check_operands(A, B)
+    (termA,), (termB,) = _grouped_terms(A, tbl), _grouped_terms(B, tbl)
     out = {n: _poly(A.system, terms) for n, terms in _wick_terms(A.system, tbl, termA, termB, n_min).items()}
     return {n: p for n, p in out.items() if not p.is_zero()}
 
@@ -353,15 +393,10 @@ def nth_product(A: DiffPoly, n: int, B: DiffPoly, tbl: ContractionTable) -> Diff
     """The n-th product A_(n) B for n >= 0, extended bilinearly."""
     if n < 0:
         raise ValueError("nth_product is defined for n >= 0")
-    sys_ = A.system
-    acc: Dict[TermKey, Fraction] = {}
-    termsB = _grouped_terms(B)
-    for tA in _grouped_terms(A):
-        for tB in termsB:
-            terms = _wick_terms(sys_, tbl, tA, tB, n, n)
-            if n in terms:
-                _add_scaled(acc, terms[n])
-    return _poly(sys_, acc)
+    tbl.check_operands(A, B)
+    if A.is_zero() or B.is_zero():  # nothing to pair: skip grouping the other side
+        return A.system.zero()
+    return _product_sum(A.system, tbl, n, _pairs(_grouped_terms(A, tbl), _grouped_terms(B, tbl)))
 
 
 class ModeElement:
@@ -442,17 +477,17 @@ def mode_bracket(X: ModeElement, Y: ModeElement, tbl: ContractionTable) -> ModeE
     j = m for m >= 0, where C(m, j) vanishes beyond.  Negative output powers
     (central terms) are retained.
     """
+    tbl.check_operands(X, Y)
     sys_ = X.system
     acc: Dict[int, Dict[TermKey, Fraction]] = {}
-    termsY = {n: _grouped_terms(Bn) for n, Bn in Y.parts.items()}
+    termsY = {n: _grouped_terms(Bn, tbl) for n, Bn in Y.parts.items()}
     for m, Am in X.parts.items():
         j_max = m if m >= 0 else None
-        termsA = _grouped_terms(Am)
+        termsA = _grouped_terms(Am, tbl)
         for n, termsB in termsY.items():
-            for tA in termsA:
-                for tB in termsB:
-                    for j, Cj in _wick_terms(sys_, tbl, tA, tB, 0, j_max).items():
-                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j))
+            for tA, tB, _ in _pairs(termsA, termsB):
+                for j, Cj in _wick_terms(sys_, tbl, tA, tB, 0, j_max).items():
+                    _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j))
     return ModeElement(sys_, {k: _poly(sys_, terms) for k, terms in acc.items()})
 
 
@@ -501,13 +536,19 @@ def mc_residual(
     An empty result certifies the renormalized quantum master equation for
     the chiral interaction I.  ``hbar_inv`` defaults to lam^{-1}; pass
     Scalar.of(1) for tables already normalized to lam = 1.
+
+    Skew-symmetry, b_(0)a = -(-1)^{p(a)p(b)} a_(0)b modulo total
+    derivatives, lets the pairs i <= k of the terms of I stand for all
+    ordered pairs (weights in `_pairs`).  It holds only modulo d, so only
+    this normal-formed residual uses it: raw `mode_bracket` keeps every
+    ordered pair, and so does `bcov_mc_report`'s nth_product(I, 0, I),
+    whose counterterm solve depends on the residual's term order.
     """
     if delta.parity != 1:
         raise ValueError("the differential must be odd (degree 1)")
-    X = ModeElement.zero_mode(I)
-    br = mode_bracket(X, X, tbl).scale(hbar_inv * Fraction(1, 2))
-    total = ModeElement.zero_mode(delta(I)) + br
-    return mode_normal_form(total)
+    tbl.check_operands(I)
+    br = _product_sum(I.system, tbl, 0, _pairs(_grouped_terms(I, tbl))).scale(hbar_inv * Fraction(1, 2))
+    return mode_normal_form(ModeElement.zero_mode(delta(I)) + ModeElement.zero_mode(br))
 
 
 # -- standard systems ------------------------------------------------------------

@@ -269,3 +269,18 @@ def test_report_golden(tmp_path, argv, digest):
     del rep["wall_time_s"]
     rep["parameters"].pop("poisson", None)
     assert hashlib.sha256(json.dumps(rep).encode()).hexdigest() == digest
+
+
+def test_closed_stdout_exits_without_traceback():
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chiralbv.cli", "bcov", "verify", "--tmax", "2", "--degmax", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    stderr = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr

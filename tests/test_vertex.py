@@ -404,3 +404,192 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+# -- pair skipping and the skew-symmetric residual against the all-pairs loops ----
+
+
+def _nth_product_all_pairs(A, n, B, tbl):
+    """Oracle: the former nth_product, one Wick expansion per ordered pair of terms."""
+    from chiralbv.algebra import _add_scaled, _poly
+    from chiralbv.vertex import _grouped_terms, _wick_terms
+
+    acc = {}
+    for tA in _grouped_terms(A, tbl):
+        for tB in _grouped_terms(B, tbl):
+            terms = _wick_terms(A.system, tbl, tA, tB, n, n)
+            if n in terms:
+                _add_scaled(acc, terms[n])
+    return _poly(A.system, acc)
+
+
+def _mode_bracket_all_pairs(X, Y, tbl):
+    """Oracle: the former mode_bracket, one Wick expansion per ordered pair of terms."""
+    from chiralbv.algebra import _add_scaled, _poly
+    from chiralbv.vertex import _gen_binom, _grouped_terms, _wick_terms
+
+    acc = {}
+    for m, Am in X.parts.items():
+        j_max = m if m >= 0 else None
+        for n, Bn in Y.parts.items():
+            for tA in _grouped_terms(Am, tbl):
+                for tB in _grouped_terms(Bn, tbl):
+                    for j, Cj in _wick_terms(X.system, tbl, tA, tB, 0, j_max).items():
+                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j))
+    return ModeElement(X.system, {k: _poly(X.system, t) for k, t in acc.items()})
+
+
+def _mc_residual_all_pairs(I, delta, tbl, hbar_inv=Scalar(Fraction(1), -1)):
+    """Oracle: the normal form of delta(I) + (1/2) hbar_inv [I, I] over all ordered pairs."""
+    X = ModeElement.zero_mode(I)
+    return mode_normal_form(ModeElement.zero_mode(delta(I)) + _mode_bracket_all_pairs(X, X, tbl).scale(
+        hbar_inv * Fraction(1, 2)))
+
+
+def _same_terms(p, q):
+    """Equal term for term, in the same order."""
+    return list(p._terms.items()) == list(q._terms.items())
+
+
+def _same_modes(X, Y):
+    return list(X.parts) == list(Y.parts) and all(_same_terms(X.parts[k], Y.parts[k]) for k in X.parts)
+
+
+def _log_canonical(rng, dim, linear):
+    from chiralbv.psm import PoissonBivector
+
+    entries = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = tuple((k == i) + (k == j) for k in range(dim))
+            entries[(i, j)] = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))}
+    if linear:
+        i, j = sorted(rng.sample(range(dim), 2))
+        entries[(i, j)][tuple(int(m == rng.randrange(dim)) for m in range(dim))] = Fraction(rng.randint(1, 9))
+    return PoissonBivector(dim, entries)
+
+
+def test_mc_residual_matches_all_pairs_on_psm():
+    """Value and term order, on every seeded PSM interaction."""
+    from chiralbv.psm import build_psm, non_jacobi_bivector, psm_delta, so3_bivector
+    from chiralbv.vertex import mc_residual
+
+    rng = random.Random(53)
+    bivectors = [_log_canonical(rng, dim, linear) for dim in (3, 4, 5) for linear in (False, True)]
+    nonzero = 0
+    for P in bivectors + [so3_bivector(), non_jacobi_bivector()]:
+        for D in (3, 4, 5, 6):
+            sys_, tbl, I = build_psm(P, D)
+            delta = psm_delta(sys_, P.dim)
+            got = mc_residual(I, delta, tbl)
+            assert _same_modes(got, _mc_residual_all_pairs(I, delta, tbl)), (P.entries, D)
+            nonzero += not got.is_zero()
+    assert nonzero > 10
+
+
+def test_mc_residual_matches_all_pairs_mod_d_with_both_parities():
+    """Value, on interactions whose terms have both parities (weight-0 pairs)
+    and on BCOV interactions.  The term order of the normal form may differ
+    here (a few mixed cases in a hundred): the off-diagonal pairs' total
+    derivatives no longer cancel before the IBP reduction, which lists the
+    surviving words in the order it meets them."""
+    from chiralbv.algebra import Derivation
+    from chiralbv.vertex import delta_bcov, mc_residual
+
+    sys_, tbl = make_mixed_system()
+    delta = Derivation.from_base_rules(sys_, 1, {("a", 0): sys_.monomial([sys_.gen("c", 0, dz=1)])})
+    rng = random.Random(59)
+    mixed = 0
+    for _ in range(100):
+        I = random_diffpoly(rng, sys_, max_terms=5, max_degree=3, max_dz=2)
+        got = mc_residual(I, delta, tbl)
+        assert (got - _mc_residual_all_pairs(I, delta, tbl)).is_zero()
+        mixed += len({sys_.word_parity(w) for (w, _) in I._terms}) == 2 and not got.is_zero()
+    assert mixed > 20
+    bsys, btbl = make_bcov(3)
+    bdelta = delta_bcov(bsys)
+    for _ in range(100):
+        I = random_diffpoly(rng, bsys, max_terms=4, max_degree=3, max_dz=2)
+        for hbar_inv in (Scalar(Fraction(1), -1), Scalar.of(3)):
+            got = mc_residual(I, bdelta, btbl, hbar_inv)
+            assert (got - _mc_residual_all_pairs(I, bdelta, btbl, hbar_inv)).is_zero()
+
+
+def test_pair_skip_matches_all_pairs():
+    """The skip drops only pairs that contribute nothing: the same terms in the same order."""
+    from chiralbv.correspondence import w_generator
+
+    cases = []
+    bsys, btbl = make_bcov(3)
+    msys, mtbl = make_mixed_system()
+    rng = random.Random(61)
+    for sys_, tbl in ((bsys, btbl), (msys, mtbl)):
+        for _ in range(60):
+            A, B = (random_diffpoly(rng, sys_, max_terms=4, max_degree=3, max_dz=2) for _ in "AB")
+            cases.append((A, B, tbl))
+    hsys, htbl = make_heisenberg(1)
+    W = [w_generator(k, hsys) for k in range(1, 6)]
+    cases += [(A, B, htbl) for A in W for B in W]
+    for A, B, tbl in cases:
+        for n in (0, 1, 2):
+            assert _same_terms(nth_product(A, n, B, tbl), _nth_product_all_pairs(A, n, B, tbl))
+    for sys_, tbl in ((bsys, btbl), (msys, mtbl)):
+        for _ in range(40):
+            X, Y = (random_mode_element(rng, sys_, zpow_range=(-1, 2), max_terms=3, max_degree=3, max_dz=2)
+                    for _ in "XY")
+            assert _same_modes(mode_bracket(X, Y, tbl), _mode_bracket_all_pairs(X, Y, tbl))
+    for A in W:
+        for B in W:
+            X, Y = ModeElement(hsys, {1: A, -1: A.dz()}), ModeElement(hsys, {0: B, 2: B})
+            assert _same_modes(mode_bracket(X, Y, htbl), _mode_bracket_all_pairs(X, Y, htbl))
+
+
+def test_mc_residual_wick_calls_count_contractible_pairs(monkeypatch):
+    """One Wick expansion per pair i <= k of nonzero weight that can contract."""
+    from chiralbv import vertex
+    from chiralbv.psm import build_psm, psm_delta, so3_bivector
+
+    sys_, tbl, I = build_psm(so3_bivector(), 5)
+    calls = []
+    wick = vertex._wick_terms
+    monkeypatch.setattr(vertex, "_wick_terms", lambda *args: calls.append(1) or wick(*args))
+    vertex.mc_residual(I, psm_delta(sys_, 3), tbl)
+
+    words = [w for (w, _) in I._terms]
+    odd = [sys_.word_parity(w) for w in words]
+    expected = sum(
+        1
+        for i in range(len(words))
+        for k in range(i, len(words))
+        if (i == k or odd[i] * odd[k])
+        and any(tbl.entry(a.base_key, b.base_key) for a in words[i] for b in words[k])
+    )
+    assert len(calls) == expected
+    assert 0 < expected < len(words) ** 2 / 2
+
+
+def test_table_from_another_system_raises():
+    from chiralbv.psm import build_psm, non_jacobi_bivector, psm_delta
+    from chiralbv.vertex import mc_residual
+
+    sys_, tbl, I = build_psm(non_jacobi_bivector(), 4)
+    _, foreign = make_bcov(2)
+    delta = psm_delta(sys_, 3)
+    X = ModeElement.zero_mode(I)
+    mono = sys_.monomial([sys_.gen("phi", 0), sys_.gen("etaw", 0)])
+    for call in (
+        lambda t: mc_residual(I, delta, t),
+        lambda t: mode_bracket(X, X, t),
+        lambda t: nth_product(I, 0, I, t),
+        lambda t: wick_ope(mono, mono, t),
+    ):
+        with pytest.raises(ValueError, match="different systems"):
+            call(foreign)
+    # a system declared alike is the same system
+    sys2, tbl2, _ = build_psm(non_jacobi_bivector(), 4)
+    assert sys2 is not sys_ and sys2.signature == sys_.signature
+    residual = mc_residual(I, delta, tbl2)
+    assert not residual.is_zero() and residual.parts == mc_residual(I, delta, tbl).parts
+    assert mode_bracket(X, X, tbl2).parts == mode_bracket(X, X, tbl).parts
+    assert nth_product(I, 0, I, tbl2) == nth_product(I, 0, I, tbl)
+    assert wick_ope(mono, mono, tbl2) == wick_ope(mono, mono, tbl) != {}
