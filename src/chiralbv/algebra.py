@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "BudgetError",
@@ -286,9 +286,12 @@ def _sort_word(system: System, word: Word) -> Optional[Tuple[Word, int]]:
     return tuple([e[2] for e in w]), sign
 
 
-def _add_scaled(acc: Dict[TermKey, Fraction], terms: Dict[TermKey, Fraction], coef=1) -> None:
-    """acc += coef * terms; zero entries stay until ``_poly`` drops them."""
-    for key, c in terms.items():
+def _add_scaled(
+    acc: Dict[TermKey, Fraction], terms: Union[Dict[TermKey, Fraction], Iterable[Tuple[TermKey, Fraction]]], coef=1
+) -> None:
+    """acc += coef * terms, given as a dict or as (key, coefficient) pairs;
+    zero entries stay until ``_poly`` drops them."""
+    for key, c in terms.items() if isinstance(terms, dict) else terms:
         if coef != 1:
             c = coef * c
         old = acc.get(key)

@@ -55,7 +55,7 @@ def _load(path: str, parse):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         raise InputError(f"{path}: {msg}") from None
 

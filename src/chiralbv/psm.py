@@ -49,21 +49,32 @@ def _poly_diff(a: PolyDict, i: int) -> PolyDict:
 
 @dataclass
 class PoissonBivector:
-    """Polynomial bivector P = sum P^{ij}(x) d_i wedge d_j with P^{ij} = -P^{ji}."""
+    """Polynomial bivector P = sum P^{ij}(x) d_i wedge d_j with P^{ij} = -P^{ji}.
+
+    Entries are given for i < j (P^{ji} follows), as polynomials with
+    nonnegative exponents in dim >= 1 coordinates; anything else raises
+    ValueError rather than being dropped or read differently.
+    """
 
     dim: int
     entries: Dict[Tuple[int, int], PolyDict] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         clean: Dict[Tuple[int, int], PolyDict] = {}
         for (i, j), poly in self.entries.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError("coordinate index out of range")
+            if i > j:
+                raise ValueError(f"entry ({i}, {j}) has i > j: give P^{{{j}{i}}} = -P^{{{i}{j}}} instead")
             if i == j and any(c != 0 for c in poly.values()):
                 raise ValueError("diagonal entries must vanish")
             for e in poly:
                 if len(e) != self.dim:
                     raise ValueError("exponent vector has wrong length")
+                if min(e) < 0:
+                    raise ValueError(f"exponents must be nonnegative, got {list(e)}")
             if i < j:
                 clean[(i, j)] = dict(poly)
         self.entries = clean

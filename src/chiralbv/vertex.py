@@ -25,6 +25,7 @@ from .algebra import (
     Scalar,
     System,
     TermKey,
+    Word,
     _add_scaled,
     _poly,
     _sort_word,
@@ -49,7 +50,8 @@ BaseKey = Tuple[str, int]
 PoleMap = Dict[Tuple[int, int], Fraction]  # (pole order, lam power) -> coefficient
 Group = Tuple[DerivedGenerator, int, int]  # a factor, its multiplicity in a word, its parity
 Classes = Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], PoleMap]  # used counts -> pole map
-Term = Tuple[List[Group], int, Fraction, set, set]  # see `_grouped_terms`
+Term = Tuple[Word, int, Fraction, int, set, set]  # see `_split_terms`
+WickTerms = Tuple[Tuple[int, Tuple[Tuple[TermKey, Fraction], ...]], ...]  # see `_wick_terms`
 
 
 class ContractionTable:
@@ -59,6 +61,11 @@ class ContractionTable:
     graded symmetry c_k(b,a) = (-1)^{p(a)p(b)} (-1)^k c_k(a,b).
     Only central (scalar-valued) singular parts are supported; all systems
     here are free.
+
+    Entries and pole maps are kept in canonical order, and tables compare
+    and hash by ``signature``, the declaration as plain ints and strings:
+    tables declared alike, in any listing order, are equal and share the
+    Wick cache (`_cached_wick_terms`).
     """
 
     def __init__(self, system: System, entries: Dict[Tuple[BaseKey, BaseKey], Dict[int, Scalar]]):
@@ -85,7 +92,16 @@ class ContractionTable:
                 expect = v * Fraction(swap_sign * (-1) ** k)
                 if mirror is None or mirror != expect:
                     raise ValueError(f"contraction table breaks graded symmetry at {a},{b} pole {k}")
-        self._table = table
+        self._table = {pair: dict(sorted(poles.items())) for pair, poles in sorted(table.items())}
+        # a frozenset, not a tuple of the entries: streams make a table per
+        # request, and CPython 3.11 returns such tuples (of 20 items, or of more
+        # than 10 built from a generator) to free lists nothing draws from,
+        # which made psm-jacobi's peak RSS creep between full collections
+        self.signature = (system.signature, frozenset(
+            (a, b, tuple([(k, v.coef.numerator, v.coef.denominator, v.lam) for k, v in poles.items()]))
+            for (a, b), poles in self._table.items()
+        ))
+        self._hash = hash(self.signature)  # hashed on every Wick cache lookup
         self._partners: Dict[BaseKey, set] = {}  # base generator -> the ones it contracts with
         for a, b in table:
             self._partners.setdefault(a, set()).add(b)
@@ -100,6 +116,12 @@ class ContractionTable:
                 raise ValueError(f"conflicting entries for pair {key}")
             return
         table[key] = dict(poles)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ContractionTable) and self.signature == other.signature
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def entry(self, a: BaseKey, b: BaseKey) -> Dict[int, Scalar]:
         return self._table.get((a, b), {})
@@ -213,7 +235,7 @@ def _taylor_shifts(groups: List[Tuple[DerivedGenerator, int]], budget: int):
         return
     (g, e), rest = groups[0], groups[1:]
     for shifts, total, count, den in _shift_multisets(e, budget):
-        head = tuple(DerivedGenerator(g.name, g.index, g.dz + s, g.dt) for s in shifts)
+        head = tuple(DerivedGenerator(g.name, g.index, g.dz + s, g.dt) if s else g for s in shifts)
         for tail, ttotal, tcount, tden in _taylor_shifts(rest, budget - total):
             yield head + tail, total + ttotal, count * tcount, den * tden
 
@@ -290,20 +312,20 @@ def _matching_classes(tbl: ContractionTable, gA: List[Group], gB: List[Group]) -
     return classes
 
 
-def _grouped_terms(p: DiffPoly, tbl: ContractionTable) -> List[Term]:
-    """(groups of repeated factors, lam, coefficient, base generators, the
-    base generators they contract with) for each term of p."""
+def _split_terms(p: DiffPoly, tbl: ContractionTable) -> List[Term]:
+    """(word, lam, coefficient, parity, base generators, the base generators
+    they contract with) for each term of p."""
     parity, partners = p.system.parity, tbl._partners
     out = []
     for (word, lam), c in p._terms.items():
         bases = {g[:2] for g in word}
         reach = set().union(*(partners.get(b, ()) for b in bases))
-        out.append(([(g, len(list(run)), parity(g)) for g, run in groupby(word)], lam, c, bases, reach))
+        out.append((word, lam, c, sum(map(parity, word)) % 2, bases, reach))
     return out
 
 
 def _pairs(termsA: List[Term], termsB: Optional[List[Term]] = None):
-    """(tA, tB, weight) over the pairs of grouped terms that can contract.
+    """(tA, tB, weight) over the pairs of `_split_terms` that can contract.
 
     Given termsB, all ordered pairs with weight 1.  Without it, the pairs
     i <= k of termsA: the diagonal with weight 1, the others with
@@ -311,44 +333,70 @@ def _pairs(termsA: List[Term], termsB: Optional[List[Term]] = None):
     with no contractible generator pair contribute nothing and are skipped.
     """
     if termsB is None:
-        odd = [sum(m * o for _, m, o in t[0]) % 2 for t in termsA]
-        pairs = ((tA, termsA[k], 1 if k == i else 1 - (-1) ** (odd[i] * odd[k]))
+        pairs = ((tA, termsA[k], 1 if k == i else 1 - (-1) ** (tA[3] * termsA[k][3]))
                  for i, tA in enumerate(termsA) for k in range(i, len(termsA)))
     else:
         pairs = ((tA, tB, 1) for tA in termsA for tB in termsB)
-    return ((tA, tB, w) for tA, tB, w in pairs if w and not tA[4].isdisjoint(tB[3]))
+    return ((tA, tB, w) for tA, tB, w in pairs if w and not tA[5].isdisjoint(tB[4]))
 
 
 def _product_sum(sys_: System, tbl: ContractionTable, n: int, pairs) -> DiffPoly:
     """Sum of weight * tA_(n) tB over the (tA, tB, weight) of `_pairs`."""
     acc: Dict[TermKey, Fraction] = {}
     for tA, tB, w in pairs:
-        terms = _wick_terms(sys_, tbl, tA, tB, n, n)
-        if n in terms:
-            _add_scaled(acc, terms[n], w)
+        for _, terms in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], n, n):
+            _add_scaled(acc, terms, w * tA[2] * tB[2])
     return _poly(sys_, acc)
 
 
-def _wick_terms(
-    system: System,
-    tbl: ContractionTable,
-    A: Term,
-    B: Term,
-    n_min: int,
-    n_max: Optional[int] = None,
-) -> Dict[int, Dict[TermKey, Fraction]]:
-    """Singular coefficients C_n, n_min <= n <= n_max, of the OPE of two
-    monomials given as `_grouped_terms`.
+@lru_cache(maxsize=8192)
+def _shared(x):
+    """The first value seen that equals x: a table, a term key or a coefficient.
 
-    Returns raw term maps, which may hold zero coefficients.  One Taylor
-    re-expansion of the surviving z-side factors at w serves each class of
-    matchings (see `_matching_classes`).
+    The Wick cache stores these, so it keeps one table (with its system and
+    pole powers) alive per declaration, not one per caller, and entries
+    that produce equal term keys and coefficients store them once.
     """
-    (gA, lamA, cA, _, _), (gB, lamB, cB, _, _) = A, B
+    return x
+
+
+@lru_cache(maxsize=4096)
+def _cached_wick_terms(
+    tbl: ContractionTable, wordA: Word, wordB: Word, lam: int, n_min: int, n_max: Optional[int]
+) -> WickTerms:
+    """`_wick_terms`, computed once per table declaration, pair of words,
+    lam-power and n-range.
+
+    The value holds no operand coefficient, so every term pair with these
+    words shares it, and callers scale it by cA * cB as they add it up.
+    The bound sits well above the keys a stream of interactions of a few
+    dimensions needs, since those share their monomial basis (about 1,100
+    for the psm-jacobi benchmark); an LRU smaller than a cyclic working set
+    would hit nothing.  ``lru_cache`` is thread-safe, and threads that miss
+    on one key at once compute equal values.
+    """
+    return _wick_terms(tbl, wordA, wordB, lam, n_min, n_max)
+
+
+def _wick_terms(
+    tbl: ContractionTable, wordA: Word, wordB: Word, lam: int, n_min: int, n_max: Optional[int]
+) -> WickTerms:
+    """Singular coefficients C_n, n_min <= n <= n_max (no upper bound when
+    None), of the OPE of the canonical monomials wordA and wordB with unit
+    coefficients and lam-powers summing to lam.
+
+    Returns (n, C_n) pairs, each C_n as (term key, coefficient) pairs that
+    may hold zero coefficients: immutable, since the cache hands the value
+    to every caller.  Canonical words keep identical factors adjacent, so
+    they split into groups of repeated factors; one Taylor re-expansion of
+    the surviving z-side factors at w serves each class of matchings
+    between the groups (see `_matching_classes`).
+    """
+    parity = tbl.system.parity
+    gA, gB = ([(g, len(list(run)), parity(g)) for g, run in groupby(word)] for word in (wordA, wordB))
     out: Dict[int, Dict[TermKey, Fraction]] = {}
-    cAB, lamAB = cA * cB, lamA + lamB
     for (rows_left, cols_left), poles in _matching_classes(tbl, gA, gB).items():
-        poles = {key: c * cAB for key, c in poles.items() if c}
+        poles = {key: c for key, c in poles.items() if c}
         if not poles:
             continue
         top = max(P for P, _ in poles) - 1
@@ -356,21 +404,24 @@ def _wick_terms(
         survivors = [(g, e) for (g, _, _), e in zip(gA, rows_left) if e]
         restB = tuple(g for (g, _, _), e in zip(gB, cols_left) for _ in range(e))
         for shifted, stot, count, den in _taylor_shifts(survivors, top - n_min):
-            hits = [(P - 1 - stot, lam, c) for (P, lam), c in poles.items() if n_min <= P - 1 - stot <= n_top]
+            hits = [(P - 1 - stot, l, c) for (P, l), c in poles.items() if n_min <= P - 1 - stot <= n_top]
             if not hits:
                 continue
-            sw = _sort_word(system, shifted + restB)
+            sw = _sort_word(tbl.system, shifted + restB)
             if sw is None:
                 continue
             mono, csign = sw
             scale = csign * count if den == 1 else Fraction(csign * count, den)
-            for n, lam, c in hits:
+            for n, l, c in hits:
                 terms = out.setdefault(n, {})
-                key = (mono, lamAB + lam)
+                key = (mono, lam + l)
                 val = c if scale == 1 else c * scale
                 old = terms.get(key)
                 terms[key] = val if old is None else old + val
-    return out
+    # class enumeration runs in int arithmetic where it can; callers get Fractions
+    return tuple(
+        (n, tuple((_shared(key), _shared(Fraction(c))) for key, c in terms.items())) for n, terms in out.items()
+    )
 
 
 def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) -> Dict[int, DiffPoly]:
@@ -384,8 +435,12 @@ def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) ->
     if A.num_terms() != 1 or B.num_terms() != 1:
         raise ValueError("expected a monomial (single-term expression)")
     tbl.check_operands(A, B)
-    (termA,), (termB,) = _grouped_terms(A, tbl), _grouped_terms(B, tbl)
-    out = {n: _poly(A.system, terms) for n, terms in _wick_terms(A.system, tbl, termA, termB, n_min).items()}
+    tbl = _shared(tbl)
+    (((wordA, lamA), cA),), (((wordB, lamB), cB),) = A._terms.items(), B._terms.items()
+    out = {
+        n: _poly(A.system, {key: c * cA * cB for key, c in terms})
+        for n, terms in _cached_wick_terms(tbl, wordA, wordB, lamA + lamB, n_min, None)
+    }
     return {n: p for n, p in out.items() if not p.is_zero()}
 
 
@@ -394,9 +449,10 @@ def nth_product(A: DiffPoly, n: int, B: DiffPoly, tbl: ContractionTable) -> Diff
     if n < 0:
         raise ValueError("nth_product is defined for n >= 0")
     tbl.check_operands(A, B)
+    tbl = _shared(tbl)
     if A.is_zero() or B.is_zero():  # nothing to pair: skip grouping the other side
         return A.system.zero()
-    return _product_sum(A.system, tbl, n, _pairs(_grouped_terms(A, tbl), _grouped_terms(B, tbl)))
+    return _product_sum(A.system, tbl, n, _pairs(_split_terms(A, tbl), _split_terms(B, tbl)))
 
 
 class ModeElement:
@@ -478,16 +534,18 @@ def mode_bracket(X: ModeElement, Y: ModeElement, tbl: ContractionTable) -> ModeE
     (central terms) are retained.
     """
     tbl.check_operands(X, Y)
+    tbl = _shared(tbl)
     sys_ = X.system
     acc: Dict[int, Dict[TermKey, Fraction]] = {}
-    termsY = {n: _grouped_terms(Bn, tbl) for n, Bn in Y.parts.items()}
+    termsY = {n: _split_terms(Bn, tbl) for n, Bn in Y.parts.items()}
     for m, Am in X.parts.items():
         j_max = m if m >= 0 else None
-        termsA = _grouped_terms(Am, tbl)
+        termsA = _split_terms(Am, tbl)
         for n, termsB in termsY.items():
             for tA, tB, _ in _pairs(termsA, termsB):
-                for j, Cj in _wick_terms(sys_, tbl, tA, tB, 0, j_max).items():
-                    _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j))
+                cAB = tA[2] * tB[2]
+                for j, Cj in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], 0, j_max):
+                    _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j) * cAB)
     return ModeElement(sys_, {k: _poly(sys_, terms) for k, terms in acc.items()})
 
 
@@ -547,7 +605,8 @@ def mc_residual(
     if delta.parity != 1:
         raise ValueError("the differential must be odd (degree 1)")
     tbl.check_operands(I)
-    br = _product_sum(I.system, tbl, 0, _pairs(_grouped_terms(I, tbl))).scale(hbar_inv * Fraction(1, 2))
+    tbl = _shared(tbl)
+    br = _product_sum(I.system, tbl, 0, _pairs(_split_terms(I, tbl))).scale(hbar_inv * Fraction(1, 2))
     return mode_normal_form(ModeElement.zero_mode(delta(I)) + ModeElement.zero_mode(br))
 
 

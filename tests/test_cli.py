@@ -129,6 +129,18 @@ def test_malformed_json_input_exit_2(tmp_path):
     _assert_input_error(run_cli("psm", "check", "--poisson", str(bad), "--degmax", "3"))
 
 
+@pytest.mark.parametrize("bivector", [
+    {"dim": 2, "entries": [{"i": 0, "j": 1, "exps": [0, 0], "num": 1, "den": 0}]},
+    {"dim": 2, "entries": [{"i": 1, "j": 0, "exps": [0, 0], "num": 1, "den": 1}]},
+    {"dim": 3, "entries": [{"i": 0, "j": 1, "exps": [0, 0, -1], "num": 1, "den": 1}]},
+    {"dim": -2, "entries": []},
+], ids=["zero-den", "lower-triangle", "negative-exponent", "negative-dim"])
+def test_psm_check_malformed_bivector_exit_2(tmp_path, bivector):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(bivector))
+    _assert_input_error(run_cli("psm", "check", "--poisson", str(p), "--degmax", "3"))
+
+
 def test_undeclared_generator_input_exit_2(tmp_path):
     expr = {"terms": [{"mono": [{"gen": "zz", "k": 0}], "coef": {"num": 1, "den": 1, "lam": 0}}]}
     infile = tmp_path / "zz.json"

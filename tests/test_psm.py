@@ -24,6 +24,18 @@ def test_bivector_antisymmetry_and_validation():
         PoissonBivector(2, {(0, 1): {(0, 0, 0): Fraction(1)}})
 
 
+@pytest.mark.parametrize("dim, entries, match", [
+    (2, {(1, 0): {(0, 0): Fraction(1)}}, "i > j"),
+    (3, {(0, 1): {(0, 0, -1): Fraction(1)}}, "nonnegative"),
+    (-2, {}, "dim must be >= 1"),
+    (0, {}, "dim must be >= 1"),
+], ids=["lower-triangle", "negative-exponent", "negative-dim", "zero-dim"])
+def test_bivector_rejects_entries_it_would_misread(dim, entries, match):
+    """Each of these was once accepted and certified as a different bivector."""
+    with pytest.raises(ValueError, match=match):
+        PoissonBivector(dim, entries)
+
+
 def test_bivector_json_roundtrip():
     P = so3_bivector()
     Q = PoissonBivector.from_obj(P.to_obj())

@@ -265,18 +265,18 @@ def _wick_by_matching(A, B, tbl):
                 sign = -sign
             del entries[pos_j]
             del entries[pos_i]
-        polemap = {0: Scalar.of(1)}
+        polemap = {(0, 0): Fraction(1)}  # (pole order, lam power) -> coefficient
         for pr in pairs:
             nxt = {}
-            for P0, s0 in polemap.items():
+            for (P0, l0), c0 in polemap.items():
                 for k, v in pair_entry[pr].items():
-                    nxt[P0 + k] = nxt.get(P0 + k, Scalar.of(0, (s0 * v).lam)) + s0 * v
-            polemap = {k: v for k, v in nxt.items() if not v.is_zero()}
+                    nxt[(P0 + k, l0 + v.lam)] = nxt.get((P0 + k, l0 + v.lam), 0) + c0 * v.coef
+            polemap = {k: v for k, v in nxt.items() if v}
         if not polemap:
             continue
         remA = [e[1] for e in entries if e[0] == "A"]
         restB = tuple(wordB[e[1]] for e in entries if e[0] == "B")
-        for svec in compositions(len(remA), max(polemap) - 1):
+        for svec in compositions(len(remA), max(P for P, _ in polemap) - 1):
             shifted = tuple(
                 DerivedGenerator(wordA[i].name, wordA[i].index, wordA[i].dz + s, wordA[i].dt)
                 for i, s in zip(remA, svec)
@@ -286,11 +286,10 @@ def _wick_by_matching(A, B, tbl):
                 continue
             mono, csign = sw
             taylor = Fraction(1, math.prod(math.factorial(s) for s in svec))
-            for P, sc in polemap.items():
+            for (P, lam), c in polemap.items():
                 n = P - 1 - sum(svec)
                 if n >= 0:
-                    term = system.poly([(mono, Scalar(cA * cB * taylor * sign * csign * sc.coef,
-                                                      lamA + lamB + sc.lam))])
+                    term = system.poly([(mono, Scalar(cA * cB * taylor * sign * csign * c, lamA + lamB + lam))])
                     out[n] = out.get(n, system.zero()) + term
     return {n: v for n, v in out.items() if not v.is_zero()}
 
@@ -410,32 +409,31 @@ def test_import_leaves_scipy_out():
 
 
 def _nth_product_all_pairs(A, n, B, tbl):
-    """Oracle: the former nth_product, one Wick expansion per ordered pair of terms."""
+    """Oracle: the former nth_product, one fresh Wick expansion per ordered pair of terms."""
     from chiralbv.algebra import _add_scaled, _poly
-    from chiralbv.vertex import _grouped_terms, _wick_terms
+    from chiralbv.vertex import _wick_terms
 
     acc = {}
-    for tA in _grouped_terms(A, tbl):
-        for tB in _grouped_terms(B, tbl):
-            terms = _wick_terms(A.system, tbl, tA, tB, n, n)
-            if n in terms:
-                _add_scaled(acc, terms[n])
+    for (wA, lA), cA in A._terms.items():
+        for (wB, lB), cB in B._terms.items():
+            for _, terms in _wick_terms(tbl, wA, wB, lA + lB, n, n):
+                _add_scaled(acc, terms, cA * cB)
     return _poly(A.system, acc)
 
 
 def _mode_bracket_all_pairs(X, Y, tbl):
-    """Oracle: the former mode_bracket, one Wick expansion per ordered pair of terms."""
+    """Oracle: the former mode_bracket, one fresh Wick expansion per ordered pair of terms."""
     from chiralbv.algebra import _add_scaled, _poly
-    from chiralbv.vertex import _gen_binom, _grouped_terms, _wick_terms
+    from chiralbv.vertex import _gen_binom, _wick_terms
 
     acc = {}
     for m, Am in X.parts.items():
         j_max = m if m >= 0 else None
         for n, Bn in Y.parts.items():
-            for tA in _grouped_terms(Am, tbl):
-                for tB in _grouped_terms(Bn, tbl):
-                    for j, Cj in _wick_terms(X.system, tbl, tA, tB, 0, j_max).items():
-                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j))
+            for (wA, lA), cA in Am._terms.items():
+                for (wB, lB), cB in Bn._terms.items():
+                    for j, Cj in _wick_terms(tbl, wA, wB, lA + lB, 0, j_max):
+                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j) * cA * cB)
     return ModeElement(X.system, {k: _poly(X.system, t) for k, t in acc.items()})
 
 
@@ -553,6 +551,7 @@ def test_mc_residual_wick_calls_count_contractible_pairs(monkeypatch):
     calls = []
     wick = vertex._wick_terms
     monkeypatch.setattr(vertex, "_wick_terms", lambda *args: calls.append(1) or wick(*args))
+    vertex._cached_wick_terms.cache_clear()  # a warm cache would expand nothing
     vertex.mc_residual(I, psm_delta(sys_, 3), tbl)
 
     words = [w for (w, _) in I._terms]
@@ -593,3 +592,132 @@ def test_table_from_another_system_raises():
     assert mode_bracket(X, X, tbl2).parts == mode_bracket(X, X, tbl).parts
     assert nth_product(I, 0, I, tbl2) == nth_product(I, 0, I, tbl)
     assert wick_ope(mono, mono, tbl2) == wick_ope(mono, mono, tbl) != {}
+
+
+# -- the Wick cache ---------------------------------------------------------------
+
+
+def test_recoefficiented_interaction_expands_nothing_afresh(monkeypatch):
+    """The cached OPE holds no coefficient: a bivector with the same monomials
+    and new coefficients, on a fresh system, hits on every pair."""
+    from chiralbv import vertex
+    from chiralbv.psm import PoissonBivector, build_psm, psm_delta
+
+    assert vertex._cached_wick_terms.cache_info().maxsize is not None
+    rng = random.Random(67)
+    P = _log_canonical(rng, 4, True)
+    Q = PoissonBivector(P.dim, {ij: {e: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for e in poly}
+                                for ij, poly in P.entries.items()})
+    sys_, tbl, I = build_psm(P, 5)
+    vertex.mc_residual(I, psm_delta(sys_, 4), tbl)
+    sys2, tbl2, J = build_psm(Q, 5)
+    delta2 = psm_delta(sys2, 4)
+    assert sys2 is not sys_ and set(J._terms) <= set(I._terms)
+    oracle = _mc_residual_all_pairs(J, delta2, tbl2)
+    calls = []
+    wick = vertex._wick_terms
+    monkeypatch.setattr(vertex, "_wick_terms", lambda *args: calls.append(1) or wick(*args))
+    got = vertex.mc_residual(J, delta2, tbl2)
+    assert calls == []
+    assert not got.is_zero() and _same_modes(got, oracle)
+
+
+def _multi_pole_table(a_poles, c_poles, order):
+    """Two even fields a0, a1 and an odd pair c0, d0 with multi-pole contractions
+    whose lam-powers differ by pole order; ``order`` lists the pairs and their
+    poles reversed, and gives the odd pair by its mirror d0 c0."""
+    gens = [Generator("a", 0, 0, 0, Fraction(1)), Generator("a", 1, 0, 0, Fraction(1)),
+            Generator("c", 0, 1, 1, Fraction(1)), Generator("d", 0, 1, -1, Fraction(0))]
+    sys_ = System("vertex", gens)
+    entries = {(("a", 0), ("a", 1)): a_poles, (("c", 0), ("d", 0)): c_poles}
+    if order == "reversed":
+        # c_k(d, c) = (-1)^{p(c)p(d)} (-1)^k c_k(c, d)
+        mirror = {k: Scalar(v.coef * (-1) ** (1 + k), v.lam) for k, v in reversed(list(c_poles.items()))}
+        entries = {(("d", 0), ("c", 0)): mirror, (("a", 0), ("a", 1)): dict(reversed(list(a_poles.items())))}
+    return sys_, ContractionTable(sys_, entries)
+
+
+def test_tables_declared_alike_share_wick_entries_and_term_order():
+    from chiralbv import vertex
+
+    a_poles = {1: Scalar.of(2), 2: Scalar(Fraction(1, 3), 1), 3: Scalar.of(-1, 2)}
+    c_poles = {1: Scalar.of(1, 1), 2: Scalar.of(5)}
+    sys_, tbl = _multi_pole_table(a_poles, c_poles, "listed")
+    _, alike = _multi_pole_table(a_poles, c_poles, "reversed")
+    assert alike == tbl and hash(alike) == hash(tbl) and alike.signature == tbl.signature
+    rng = random.Random(73)
+    pairs = []
+    while len(pairs) < 40:
+        A, B = (random_diffpoly(rng, sys_, max_terms=1, max_degree=4, max_dz=1) for _ in "AB")
+        if A.num_terms() == 1 and B.num_terms() == 1 and len(wick_ope(A, B, tbl)) > 1:
+            pairs.append((A, B))
+    cache = vertex._cached_wick_terms
+    cache.cache_clear()
+    vertex._shared.cache_clear()  # else the first table seen would stand in for alike
+    fresh_alike = [wick_ope(A, B, alike) for A, B in pairs]
+    cache.cache_clear()
+    vertex._shared.cache_clear()
+    fresh = [wick_ope(A, B, tbl) for A, B in pairs]
+    misses = cache.cache_info().misses
+    shared = [wick_ope(A, B, alike) for A, B in pairs]
+    assert cache.cache_info().misses == misses
+    for got in (fresh_alike, shared):
+        for w, v in zip(got, fresh):
+            assert list(w) == list(v) and all(_same_terms(w[n], v[n]) for n in w)
+    # one pole coefficient changed: the table's own entries, right by the oracle
+    _, other = _multi_pole_table({**a_poles, 2: Scalar(Fraction(1, 7), 1)}, c_poles, "listed")
+    assert other != tbl
+    for A, B in pairs:
+        _assert_wick_matches_oracle(A, B, other)
+    assert cache.cache_info().misses > misses
+
+
+def test_wick_cache_shared_across_threads():
+    """Threads that share the cold cache get the serial results, term for term."""
+    import sys
+    import threading
+
+    from chiralbv import vertex
+    from chiralbv.correspondence import w_generator
+    from chiralbv.psm import build_psm, psm_delta
+
+    rng = random.Random(79)
+    bivectors = [_log_canonical(rng, dim, linear) for dim in (3, 4) for linear in (False, True)]
+    hsys, htbl = make_heisenberg(1)
+    W = [w_generator(k, hsys) for k in range(1, 5)]
+
+    def residual(P, D):
+        sys_, tbl, I = build_psm(P, D)
+        return vertex.mc_residual(I, psm_delta(sys_, P.dim), tbl)
+
+    def bracket(A, B):
+        return mode_bracket(ModeElement(hsys, {1: A, -1: A.dz()}), ModeElement(hsys, {0: B, 2: B}), htbl)
+
+    jobs = [(residual, P, D) for P in bivectors for D in (3, 4)] + [(bracket, A, B) for A in W for B in W]
+    serial = [fn(*args) for fn, *args in jobs]
+    workers, results, errors = 6, {}, []
+
+    def work(t):
+        try:
+            order = jobs[t:] + jobs[:t]  # each thread meets the keys in another order
+            results[t] = [fn(*args) for fn, *args in order]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    vertex._cached_wick_terms.cache_clear()
+    vertex._shared.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and sorted(results) == list(range(workers))
+    for t, got in results.items():
+        for k, X in enumerate(got):
+            assert _same_modes(X, serial[(k + t) % len(jobs)]), (t, k)
