@@ -42,6 +42,13 @@ class BudgetError(Exception):
     """A truncation budget was too small for an exact computation."""
 
 
+def _json_int(x, name: str) -> int:
+    """x if it is an int; a JSON float or bool in field ``name`` raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"field {name!r} must be an integer, got {x!r}")
+    return x
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -95,7 +102,8 @@ class Scalar:
 
     @staticmethod
     def from_obj(obj: dict) -> "Scalar":
-        return Scalar(Fraction(int(obj["num"]), int(obj["den"])), int(obj.get("lam", 0)))
+        num, den = _json_int(obj["num"], "num"), _json_int(obj["den"], "den")
+        return Scalar(Fraction(num, den), _json_int(obj.get("lam", 0), "lam"))
 
     def __repr__(self) -> str:
         if self.lam == 0:
@@ -300,6 +308,14 @@ def _add_scaled(
 
 def _poly(system: System, terms: Dict[TermKey, Fraction]) -> "DiffPoly":
     return DiffPoly(system, {key: c for key, c in terms.items() if c})
+
+
+def _group_terms(p: "DiffPoly", word_key: Callable[[Word], int]) -> Dict[int, "DiffPoly"]:
+    """The terms of p grouped by ``word_key`` of their words, in first-seen order."""
+    groups: Dict[int, Dict[TermKey, Fraction]] = {}
+    for key, c in p._terms.items():
+        groups.setdefault(word_key(key[0]), {})[key] = c
+    return {k: DiffPoly(p.system, terms) for k, terms in groups.items()}
 
 
 class DiffPoly:
@@ -507,7 +523,8 @@ class DiffPoly:
         terms = []
         for t in obj["terms"]:
             word = tuple(
-                system.gen(m["gen"], int(m["k"]), int(m.get("dz", 0)), int(m.get("dt", 0)))
+                system.gen(m["gen"], _json_int(m["k"], "k"), _json_int(m.get("dz", 0), "dz"),
+                           _json_int(m.get("dt", 0), "dt"))
                 for m in t["mono"]
             )
             terms.append((word, Scalar.from_obj(t["coef"])))
@@ -553,48 +570,36 @@ def _word_profile(word: Word) -> Tuple[Tuple[str, int, int], ...]:
     return tuple(sorted((dg.name, dg.index, dg.dt) for dg in word))
 
 
+def _multisets(slots: int, total: int, low: int = 0) -> Iterator[Tuple[int, ...]]:
+    """Nondecreasing ``slots``-tuples of integers >= low with the given sum,
+    in lexicographic order."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(low, total // slots + 1):
+        for rest in _multisets(slots - 1, total - v, v):
+            yield (v,) + rest
+
+
 def _enumerate_slice(system: System, profile: Tuple[Tuple[str, int, int], ...], total_dz: int) -> List[Word]:
     """All canonical monomials with the given base-factor multiset and total dz."""
     groups: List[Tuple[Tuple[str, int, int], int]] = []
     for key, grp in itertools.groupby(profile):
         groups.append((key, len(list(grp))))
-
-    def distributions(count: int, total: int, odd: bool) -> Iterator[Tuple[int, ...]]:
-        # weakly decreasing dz-tuples; strictly decreasing for odd generators
-        def rec(slots: int, tot: int, cap: Optional[int]) -> Iterator[Tuple[int, ...]]:
-            if slots == 0:
-                if tot == 0:
-                    yield ()
-                return
-            hi = tot if cap is None else min(cap, tot)
-            lo = 0
-            for v in range(hi, lo - 1, -1):
-                nxt_cap = v - 1 if odd else v
-                if nxt_cap < 0 and slots > 1:
-                    continue
-                for rest in rec(slots - 1, tot - v, nxt_cap):
-                    yield (v,) + rest
-
-        yield from rec(count, total, None)
-
     words: List[Word] = []
 
     def build(gi: int, remaining: int, acc: List[DerivedGenerator]):
         if gi == len(groups):
             if remaining == 0:
-                sw = _sort_word(system, tuple(acc))
+                sw = _sort_word(system, tuple(acc))  # None for a repeated odd factor
                 if sw is not None:
                     words.append(sw[0])
             return
         (name, index, dt), count = groups[gi]
-        odd = bool(system.parity(DerivedGenerator(name, index, 0, dt)))
         for s in range(remaining + 1):
-            for dist in distributions(count, s, odd):
-                build(
-                    gi + 1,
-                    remaining - s,
-                    acc + [DerivedGenerator(name, index, d, dt) for d in dist],
-                )
+            for dist in _multisets(count, s):
+                build(gi + 1, remaining - s, acc + [DerivedGenerator(name, index, d, dt) for d in dist])
 
     build(0, total_dz, [])
     return sorted(set(words), key=lambda w: tuple(map(_dg_sort_key, w)))
@@ -697,20 +702,13 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
 class Derivation:
     """A graded derivation determined by its values on derived generators."""
 
-    def __init__(self, system: System, parity: int, rule: Callable[[DerivedGenerator], DiffPoly], name: str = ""):
+    def __init__(self, system: System, parity: int, rule: Callable[[DerivedGenerator], DiffPoly]):
         self.system = system
         self.parity = parity
         self.rule = rule
-        self.name = name
 
     @classmethod
-    def from_base_rules(
-        cls,
-        system: System,
-        parity: int,
-        images: Dict[Tuple[str, int], DiffPoly],
-        name: str = "",
-    ) -> "Derivation":
+    def from_base_rules(cls, system: System, parity: int, images: Dict[Tuple[str, int], DiffPoly]) -> "Derivation":
         """Derivation commuting with both total derivatives, given on bases."""
 
         def rule(dg: DerivedGenerator) -> DiffPoly:
@@ -722,7 +720,7 @@ class Derivation:
                 out = out.dt(dg.dt)
             return out
 
-        return cls(system, parity, rule, name)
+        return cls(system, parity, rule)
 
     def __call__(self, p: DiffPoly) -> DiffPoly:
         sys_ = self.system

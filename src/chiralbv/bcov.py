@@ -18,9 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .algebra import DerivedGenerator, DiffPoly, Scalar, System, _insert_row, _poly, _reduce
+from .algebra import DerivedGenerator, DiffPoly, Scalar, System, _insert_row, _multisets, _poly, _reduce
 from .vertex import (
     ModeElement,
     delta_bcov,
@@ -67,17 +67,6 @@ def psi_coefficient(exponents: Sequence[int]) -> Scalar:
     return Scalar.of(coef)
 
 
-def _positive_multisets(m: int, total: int, lo: int = 1) -> Iterator[Tuple[int, ...]]:
-    """Weakly increasing m-tuples of integers >= lo (positive by default) with given sum."""
-    if m == 0:
-        if total == 0:
-            yield ()
-        return
-    for v in range(lo, total - (m - 1) + 1):
-        for rest in _positive_multisets(m - 1, total - v, v):
-            yield (v,) + rest
-
-
 def bcov_classical(system: System, deg_max: int) -> DiffPoly:
     """The classical interaction <e^b (x) eta>_0 through polynomial degree deg_max.
 
@@ -93,7 +82,7 @@ def bcov_classical(system: System, deg_max: int) -> DiffPoly:
             # positive descendant indices k_1 <= ... <= k_m with sum <= n-3
             for total_pos in range(m, n - 2):
                 l = (n - 3) - total_pos
-                for kvec in _positive_multisets(m, total_pos):
+                for kvec in _multisets(m, total_pos, 1):
                     if not system.has("eta", l) or any(not system.has("b", ki) for ki in kvec):
                         raise KeyError(
                             f"system truncation too small: needs b_{max(kvec, default=0)}, eta_{l}"
@@ -278,7 +267,7 @@ def bcov_mc_report(tmax: int, wmax: int, solution: Optional[FedosovSolution] = N
     counterterm = _solve_central_counterterm(system, raw_nf) if purely_central else None
     repaired = None
     if counterterm is not None:
-        # counterterms are central: they feed only through delta
-        repaired_full = raw_nf + mode_normal_form(ModeElement.zero_mode(delta(counterterm))).part(0)
-        repaired = mode_normal_form(ModeElement.zero_mode(repaired_full)).part(0)
+        # counterterms are central: they feed only through delta; a sum of
+        # normal forms is a normal form
+        repaired = raw_nf + mode_normal_form(ModeElement.zero_mode(delta(counterterm))).part(0)
     return QuantumMCReport(tmax, wmax, raw_nf, purely_central, counterterm, repaired)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional
 
-from .algebra import BudgetError, DerivedGenerator, DiffPoly, Scalar, System, Word, _add_scaled, _poly
+from .algebra import BudgetError, DerivedGenerator, DiffPoly, Scalar, System, Word, _add_scaled, _group_terms, _poly
 from .vertex import ModeElement
 
 __all__ = [
@@ -263,13 +263,10 @@ def morphism_defect(J1: DiffPoly, J2: DiffPoly, system: System, tbl, wmax: int) 
     lhs = phi(star_bracket(J1, J2, wmax, strict=False), system, bg, wmax=wmax).part(0)
     p1 = phi(J1, system, bg, wmax=wmax).part(0)
     p2 = phi(J2, system, bg, wmax=wmax).part(0)
-    slices: Dict[int, dict] = {}
-    for key, c in p1._terms.items():
-        slices.setdefault(index_weight(key[0]), {})[key] = c
     rhs = sum(
         (
-            nth_product(DiffPoly(system, terms), 0, restrict_index_weight(p2, wmax - w1), tbl)
-            for w1, terms in sorted(slices.items())
+            nth_product(slice1, 0, restrict_index_weight(p2, wmax - w1), tbl)
+            for w1, slice1 in sorted(_group_terms(p1, index_weight).items())
         ),
         system.zero(),
     )

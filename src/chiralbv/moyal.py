@@ -27,6 +27,7 @@ from .algebra import (
     System,
     TermKey,
     _add_scaled,
+    _group_terms,
     _poly,
 )
 
@@ -66,13 +67,6 @@ def et(system: System, dz: int = 0, dt: int = 0) -> DerivedGenerator:
 
 def t_level(word) -> int:
     return sum(dg.dt for dg in word)
-
-
-def _group_terms(p: DiffPoly, word_key) -> Dict[int, DiffPoly]:
-    groups: Dict[int, Dict[TermKey, Fraction]] = {}
-    for key, c in p._terms.items():
-        groups.setdefault(word_key(key[0]), {})[key] = c
-    return {k: DiffPoly(p.system, terms) for k, terms in groups.items()}
 
 
 def split_t_levels(p: DiffPoly) -> Dict[int, DiffPoly]:
@@ -154,9 +148,7 @@ def deg_cw(p: DiffPoly) -> Optional[Tuple[int, Fraction]]:
 
 def delta_b(system: System) -> Derivation:
     """The differential: bt -> dz(et), et -> 0 (odd, commutes with Dz, Dt)."""
-    return Derivation.from_base_rules(
-        system, 1, {("bt", 0): system.monomial([et(system, dz=1)])}, name="delta_b"
-    )
+    return Derivation.from_base_rules(system, 1, {("bt", 0): system.monomial([et(system, dz=1)])})
 
 
 def delta_star(system: System) -> Derivation:
@@ -167,7 +159,7 @@ def delta_star(system: System) -> Derivation:
             return system.monomial([DerivedGenerator("bt", 0, dg.dz - 1, dg.dt)])
         return system.zero()
 
-    return Derivation(system, 1, rule, name="delta_star")
+    return Derivation(system, 1, rule)
 
 
 def _n_eigenvalue(system: System, word) -> int:
@@ -180,11 +172,11 @@ def _n_eigenvalue(system: System, word) -> int:
     return n
 
 
-def delta_inv(p: DiffPoly, check: bool = True) -> DiffPoly:
+def delta_inv(p: DiffPoly) -> DiffPoly:
     """Contracting homotopy: (1/m) delta_star on N-eigenvalue-m monomials.
 
-    N = delta delta* + delta* delta is diagonal on monomials; when ``check``
-    is set the eigenvector property is verified for every monomial.
+    N = delta delta* + delta* delta is diagonal on monomials; the
+    eigenvector property is verified for every monomial.
     """
     sys_ = p.system
     d = delta_b(sys_)
@@ -194,7 +186,7 @@ def delta_inv(p: DiffPoly, check: bool = True) -> DiffPoly:
         n = _n_eigenvalue(sys_, word)
         mono = DiffPoly(sys_, {(word, lam): c})
         ds_mono = ds(mono)
-        if check and d(ds_mono) + ds(d(mono)) != mono.scale(Fraction(n)):
+        if d(ds_mono) + ds(d(mono)) != mono.scale(Fraction(n)):
             raise AssertionError(f"monomial is not an N-eigenvector: {word}")
         if n:
             _add_scaled(acc, ds_mono._terms, Fraction(1, n))

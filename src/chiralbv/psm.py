@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Derivation, DiffPoly, Generator, Scalar, System, _add_scaled, _poly
+from .algebra import Derivation, DiffPoly, Generator, Scalar, System, _add_scaled, _json_int, _poly
 from .vertex import ContractionTable, ModeElement, mc_residual
 
 __all__ = [
@@ -102,14 +102,8 @@ class PoissonBivector:
                         out[(i, j, k)] = acc
         return out
 
-    def is_jacobi(self, deg_max: Optional[int] = None) -> bool:
-        obs = self.jacobi_obstruction()
-        if deg_max is None:
-            return not obs
-        for poly in obs.values():
-            if any(sum(e) <= deg_max for e in poly):
-                return False
-        return True
+    def is_jacobi(self) -> bool:
+        return not self.jacobi_obstruction()
 
     def truncated(self, deg_max: int) -> "PoissonBivector":
         """The terms of polynomial degree <= deg_max; build_psm(P, D) carries
@@ -130,10 +124,11 @@ class PoissonBivector:
     def from_obj(obj: dict) -> "PoissonBivector":
         entries: Dict[Tuple[int, int], PolyDict] = {}
         for ent in obj["entries"]:
-            key = (int(ent["i"]), int(ent["j"]))
-            e = tuple(int(x) for x in ent["exps"])
-            _add_scaled(entries.setdefault(key, {}), {e: Fraction(int(ent["num"]), int(ent.get("den", 1)))})
-        return PoissonBivector(int(obj["dim"]), entries)
+            key = (_json_int(ent["i"], "i"), _json_int(ent["j"], "j"))
+            e = tuple(_json_int(x, "exps") for x in ent["exps"])
+            num, den = _json_int(ent["num"], "num"), _json_int(ent.get("den", 1), "den")
+            _add_scaled(entries.setdefault(key, {}), {e: Fraction(num, den)})
+        return PoissonBivector(_json_int(obj["dim"], "dim"), entries)
 
 
 def make_psm_system(n: int) -> System:
@@ -214,7 +209,7 @@ def psm_delta(system: System, n: int) -> Derivation:
     for i in range(n):
         images[("phiw", i)] = system.monomial([system.gen("phi", i, dz=1)])
         images[("etaw", i)] = system.monomial([system.gen("eta", i, dz=1)])
-    return Derivation.from_base_rules(system, 1, images, name="psm_delta")
+    return Derivation.from_base_rules(system, 1, images)
 
 
 def psm_mc_check(

@@ -414,3 +414,16 @@ def test_ibp_matches_former_elimination():
     for sys_, profile, dzsum in slices:
         assert _slice_reduction(sys_.signature, profile, dzsum)[1] == _slice_reduction_oracle(sys_, profile, dzsum)[1]
     assert sum(len(_slice_reduction(s.signature, pr, dz)[1]) > 1 for s, pr, dz in slices) > 50
+
+
+def test_multisets_match_brute_force_in_lexicographic_order():
+    import itertools
+
+    from chiralbv.algebra import _multisets
+
+    for slots in range(6):
+        for total in range(9):
+            for low in range(3):
+                expect = [t for t in itertools.product(range(low, total + 1), repeat=slots)
+                          if sum(t) == total and list(t) == sorted(t)]
+                assert list(_multisets(slots, total, low)) == expect, (slots, total, low)

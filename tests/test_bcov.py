@@ -194,6 +194,23 @@ def _dense_counterterm_oracle(system, residual):
     return out
 
 
+def test_counterterm_pinned_on_weight_3_window():
+    """The counterterm keeps the first independent candidates in the
+    residual's term order, so its value pins that order."""
+
+    def term(factors, den):
+        return {"mono": [{"gen": g, "k": k, "dz": dz, "dt": 0} for g, k, dz in factors],
+                "coef": {"num": 1, "den": den, "lam": 0}}
+
+    expect = {"terms": [
+        term([("b", 1, 0), ("b", 1, 0), ("eta", 0, 2)], 48),
+        term([("b", 1, 0), ("b", 1, 2), ("eta", 0, 0)], 24),
+        term([("b", 1, 0), ("eta", 0, 2)], 24),
+    ]}
+    for tmax in (3, 4):
+        assert bcov_mc_report(tmax, 3).counterterm.to_obj() == expect, tmax
+
+
 def test_counterterm_matches_former_dense_solve():
     """Seeded delta-exact residuals (with linearly dependent candidates) and
     non-exact ones: the shared eliminator returns the former solution."""

@@ -127,6 +127,11 @@ def test_malformed_json_input_exit_2(tmp_path):
     bad.write_text("{not json")
     _assert_input_error(run_cli("phi", "--in", str(bad)))
     _assert_input_error(run_cli("psm", "check", "--poisson", str(bad), "--degmax", "3"))
+    # a fractional derivative order or coefficient is rejected, not truncated
+    for mono, coef in [({"gen": "et", "k": 0, "dz": 1.7}, {"num": 1, "den": 1, "lam": 0}),
+                       ({"gen": "et", "k": 0}, {"num": 1, "den": 1, "lam": 0.5})]:
+        bad.write_text(json.dumps({"terms": [{"mono": [mono], "coef": coef}]}))
+        _assert_input_error(run_cli("phi", "--in", str(bad)))
 
 
 @pytest.mark.parametrize("bivector", [
@@ -134,7 +139,14 @@ def test_malformed_json_input_exit_2(tmp_path):
     {"dim": 2, "entries": [{"i": 1, "j": 0, "exps": [0, 0], "num": 1, "den": 1}]},
     {"dim": 3, "entries": [{"i": 0, "j": 1, "exps": [0, 0, -1], "num": 1, "den": 1}]},
     {"dim": -2, "entries": []},
-], ids=["zero-den", "lower-triangle", "negative-exponent", "negative-dim"])
+    # fractional and boolean numbers are rejected, not truncated to another bivector
+    {"dim": 3, "entries": [{"i": 0, "j": 1, "exps": [1, 0, 0], "num": 1, "den": 1},
+                           {"i": 0, "j": 2, "exps": [0, 1, 0], "num": 0.5, "den": 1}]},
+    {"dim": 3.9, "entries": [{"i": 0, "j": 1, "exps": [0, 0, 1], "num": 1, "den": 1}]},
+    {"dim": 3, "entries": [{"i": 0, "j": 1, "exps": [0, 0, 1.9], "num": 1, "den": 1}]},
+    {"dim": 3, "entries": [{"i": 0, "j": 1, "exps": [0, 0, 1], "num": True, "den": 1}]},
+], ids=["zero-den", "lower-triangle", "negative-exponent", "negative-dim",
+        "fractional-num", "fractional-dim", "fractional-exponent", "boolean-num"])
 def test_psm_check_malformed_bivector_exit_2(tmp_path, bivector):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(bivector))
@@ -206,6 +218,9 @@ def test_usage_error_exit_2(capsys, monkeypatch):
         (["props", "--cases", "-1"], "--cases"),
         (["--threads", "0", "props", "--cases", "1"], "--threads"),
         (["phi", "--in", "j.json", "--bg-kmax", "-1"], "--bg-kmax"),
+        (["renorm", "ucheck", "--m", "1", "--k", "0,0", "--tol", "inf"], "--tol"),
+        (["renorm", "ucheck", "--m", "1", "--k", "0,0", "--tol", "nan"], "--tol"),
+        (["renorm", "ucheck", "--m", "1", "--k", "0,0", "--tol", "-1"], "--tol"),
     ]:
         assert f"argument {name}:" in usage_error(argv), argv
     for env in ("x", "0"):

@@ -156,7 +156,7 @@ def test_n_eigenvector_guard(B):
     rng = random.Random(12)
     for _ in range(20):
         F = random_bexpr(rng, B, max_T=2, max_degree=3, max_dz=2)
-        delta_inv(F, check=True)
+        delta_inv(F)
 
 
 def test_bexpr_gradings(B):

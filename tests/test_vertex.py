@@ -193,6 +193,9 @@ def test_mode_element_json_roundtrip():
     rng = random.Random(41)
     X = random_mode_element(rng, sys_, zpow_range=(-1, 2), max_terms=3, max_degree=3, max_dz=2)
     assert ModeElement.from_obj(sys_, X.to_obj()).to_obj() == X.to_obj()
+    # a fractional z-power is rejected, not truncated to another mode
+    with pytest.raises(ValueError):
+        ModeElement.from_obj(sys_, {"parts": [{"zpow": 0.5, "terms": []}]})
 
 
 def test_energy_momentum_self_ope_invariant():
@@ -385,6 +388,24 @@ def test_class_weights_count_partial_matchings():
             assert {rows[0]: poles for (rows, _), poles in classes.items()} == {
                 m - r: {(2 * r, 0): math.comb(m, r) * math.perm(n, r)} for r in range(1, min(m, n) + 1)
             }
+
+
+def test_shift_multisets_keep_the_former_order():
+    """The Taylor-shift order sets the Wick term order: it matches the former
+    nested enumeration entry for entry."""
+    from chiralbv.vertex import _shift_multisets
+
+    def nondecreasing(slots, left, low):  # the former enumerator
+        if slots == 0:
+            yield ()
+            return
+        for s in range(low, left // slots + 1):
+            for rest in nondecreasing(slots - 1, left - s, s):
+                yield (s,) + rest
+
+    for e in range(7):
+        for budget in range(9):
+            assert [entry[0] for entry in _shift_multisets(e, budget)] == list(nondecreasing(e, budget, 0)), (e, budget)
 
 
 def test_import_leaves_scipy_out():
