@@ -20,7 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from .algebra import DerivedGenerator, DiffPoly, Scalar, System, _insert_row, _multisets, _poly, _reduce
+from .algebra import (
+    DerivedGenerator,
+    DiffPoly,
+    Scalar,
+    System,
+    _enumerate_slice,
+    _insert_row,
+    _multisets,
+    _poly,
+    _reduce,
+    _word_profile,
+)
 from .vertex import (
     ModeElement,
     delta_bcov,
@@ -31,11 +42,12 @@ from .vertex import (
 )
 from .moyal import FedosovSolution, fedosov_solve
 from .correspondence import (
+    PHI_BRACKET_ORIENTATION,
     BackgroundSubstitution,
+    _windowed_zero_product,
     background_only,
     index_weight,
     phi,
-    restrict_index_weight,
     w_generator,
 )
 
@@ -211,8 +223,12 @@ class QuantumMCReport:
 def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[DiffPoly]:
     """Find background-only j with NF(delta oint j) = -residual, if it exists.
 
-    Candidates replace one dz-carrying eta_l factor of a residual term by
-    the b_{l+1} preimage.  Their images are reduced in candidate order; a
+    Candidates first replace one dz-carrying eta_l factor of a residual
+    term by the b_{l+1} preimage; wherever these suffice, they fix the
+    counterterm and its term order.  The rest of every slice that delta
+    maps into a residual term's slice follows (the term's factors with one
+    eta_l turned into b_{l+1}, one z-derivative fewer), so the candidates
+    span every preimage.  Their images are reduced in candidate order; a
     candidate whose image is already spanned is dropped, and the residual
     reduced against the rest gives the unique solution on them.  Returns
     None when the residual is not delta-exact in the central sector.
@@ -223,11 +239,18 @@ def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[D
         return dict(mode_normal_form(ModeElement.zero_mode(p)).part(0)._terms)
 
     candidates: Dict = {}  # term keys in first-seen order
+    slices: Dict = {}  # the rest of the preimage slices, appended after them
     for (word, lam) in residual._terms:
+        total_dz = sum(dg.dz for dg in word)
         for i, dg in enumerate(word):
-            if dg.name == "eta" and dg.dz >= 1 and system.has("b", dg.index + 1):
+            if dg.name != "eta" or not total_dz or not system.has("b", dg.index + 1):
+                continue
+            if dg.dz:
                 cand = word[:i] + (DerivedGenerator("b", dg.index + 1, dg.dz - 1, 0),) + word[i + 1 :]
                 candidates.update(dict.fromkeys(system.monomial(cand, lam=lam)._terms))
+            profile = _word_profile(word[:i] + (DerivedGenerator("b", dg.index + 1, 0, dg.dt),) + word[i + 1 :])
+            slices.update(dict.fromkeys((w, lam) for w in _enumerate_slice(system, profile, total_dz - 1)))
+    candidates.update(slices)
     if not candidates:
         return None if not residual.is_zero() else system.zero()
 
@@ -247,21 +270,19 @@ def bcov_mc_report(tmax: int, wmax: int, solution: Optional[FedosovSolution] = N
     """Maurer-Cartan residual of the Phi-image of the flat-connection solution.
 
     Computed on the weight window w <= wmax where all budgets are exact,
-    with the transport orientation s = PHI_BRACKET_ORIENTATION.  The raw
-    residual is the central W-transport cocycle; it is delta-exact in the
-    background sector, and the report carries the counterterm that
-    repairs the interaction to an exact Maurer-Cartan element there.
+    with the transport orientation s = PHI_BRACKET_ORIENTATION.  I is built
+    on the window, delta keeps index weight and the self-bracket is cut to
+    it before the Wick expansion.  The raw residual is the central
+    W-transport cocycle; it is delta-exact in the background sector, and
+    the report carries the counterterm that repairs the interaction to an
+    exact Maurer-Cartan element there.
     """
-    from .correspondence import PHI_BRACKET_ORIENTATION
-    from .vertex import nth_product
-
     sol = solution if solution is not None else fedosov_solve(tmax)
     system, tbl = make_bcov(max(wmax, 1))
     bg = BackgroundSubstitution(kmax=max(wmax, 1))
     delta = delta_bcov(system)
     I = phi(sol.j(), system, bg, wmax=wmax).part(0)
-    br = nth_product(I, 0, I, tbl).scale(Fraction(PHI_BRACKET_ORIENTATION, 2))
-    raw = restrict_index_weight(delta(I) + br, wmax)
+    raw = delta(I) + _windowed_zero_product(I, I, tbl, wmax).scale(Fraction(PHI_BRACKET_ORIENTATION, 2))
     raw_nf = mode_normal_form(ModeElement.zero_mode(raw)).part(0)
     purely_central = all(background_only(w) for (w, _) in raw_nf._terms)
     counterterm = _solve_central_counterterm(system, raw_nf) if purely_central else None

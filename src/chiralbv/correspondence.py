@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional
 
 from .algebra import BudgetError, DerivedGenerator, DiffPoly, Scalar, System, Word, _add_scaled, _group_terms, _poly
-from .vertex import ModeElement
+from .moyal import star_bracket
+from .vertex import ModeElement, mode_normal_form, nth_product
 
 __all__ = [
     "PHI_BRACKET_ORIENTATION",
@@ -235,42 +236,41 @@ def restrict_index_weight(p: DiffPoly, wmax: int) -> DiffPoly:
     return p.filter(lambda word, lam: index_weight(word) <= wmax)
 
 
+def _windowed_zero_product(A: DiffPoly, B: DiffPoly, tbl, wmax: int) -> DiffPoly:
+    """A_(0) B on the index-weight window w <= wmax, cut before the Wick expansion:
+    weight-0 contractions keep the weight, so each weight-w slice of A meets
+    only the weight <= wmax - w part of B.  Other contractions raise ValueError.
+    """
+    for a, b in tbl._table:
+        for name, index in (a, b):
+            if index_weight((DerivedGenerator(name, index, 0, 0),)):
+                raise ValueError(
+                    f"the windowed 0-product needs weight-0 contractions, but the table contracts {name}{index}"
+                )
+    acc: dict = {}
+    for w, slice_a in sorted(_group_terms(A, index_weight).items()):
+        _add_scaled(acc, nth_product(slice_a, 0, restrict_index_weight(B, wmax - w), tbl)._terms)
+    return _poly(A.system, acc)
+
+
 def morphism_defect(J1: DiffPoly, J2: DiffPoly, system: System, tbl, wmax: int) -> dict:
     """Normal form of phi([J1,J2]_star) - s*[phi(J1), phi(J2)] on the exact window.
 
     Both sides are exact on output monomials of descendant-index weight
     <= wmax when the star bracket is truncated at T <= wmax and the
     background series at generator index wmax (a T-level-T term only
-    produces weight >= T, and b0-contractions preserve the weight).  The
-    0-th product therefore pairs each weight-w slice of phi(J1) only with
-    the weight <= wmax - w part of phi(J2); ``tbl`` must contract only
-    generators of index weight 0, or ValueError is raised.
+    produces weight >= T, and b0-contractions preserve the weight), so the
+    0-th product is windowed before its Wick expansion.
 
     The returned report decomposes the defect into its dynamical part and
     the pure-background (central) part; a nonzero defect is expected to be
     purely central -- the W-transport cocycle on field-valued coefficients.
     """
-    from .vertex import ModeElement, mode_normal_form, nth_product
-    from .moyal import star_bracket
-
-    for a, b in tbl._table:
-        for name, index in (a, b):
-            if index_weight((DerivedGenerator(name, index, 0, 0),)):
-                raise ValueError(
-                    f"morphism_defect needs weight-0 contractions, but the table contracts {name}{index}"
-                )
     bg = BackgroundSubstitution(kmax=wmax)
     lhs = phi(star_bracket(J1, J2, wmax, strict=False), system, bg, wmax=wmax).part(0)
     p1 = phi(J1, system, bg, wmax=wmax).part(0)
     p2 = phi(J2, system, bg, wmax=wmax).part(0)
-    rhs = sum(
-        (
-            nth_product(slice1, 0, restrict_index_weight(p2, wmax - w1), tbl)
-            for w1, slice1 in sorted(_group_terms(p1, index_weight).items())
-        ),
-        system.zero(),
-    )
-    diff = lhs - rhs.scale(Fraction(PHI_BRACKET_ORIENTATION))
+    diff = lhs - _windowed_zero_product(p1, p2, tbl, wmax).scale(Fraction(PHI_BRACKET_ORIENTATION))
     nf = mode_normal_form(ModeElement(system, {0: diff}))
     defect = nf.part(0)
     central = defect.filter(lambda w, l: background_only(w))

@@ -585,7 +585,7 @@ def mc_residual(
     derivatives, lets the pairs i <= k of the terms of I stand for all
     ordered pairs (weights in `_pairs`).  It holds only modulo d, so only
     this normal-formed residual uses it: raw `mode_bracket` keeps every
-    ordered pair, and so does `bcov_mc_report`'s nth_product(I, 0, I),
+    ordered pair, and so does `bcov_mc_report`'s windowed self-bracket,
     whose counterterm solve depends on the residual's term order.
     """
     if delta.parity != 1:
