@@ -223,15 +223,14 @@ class System:
     def deg(self, dg: DerivedGenerator) -> int:
         return self.base(dg.name, dg.index).deg
 
-    def cw(self, dg: DerivedGenerator) -> Fraction:
-        return self.base(dg.name, dg.index).cw + dg.dz - dg.dt
-
     def word_parity(self, word: Word) -> int:
         return sum(self.parity(dg) for dg in word) % 2
 
     def word_grading(self, word: Word, lam: int) -> Grading:
-        deg = sum(self.deg(dg) for dg in word)
-        cw = sum((self.cw(dg) for dg in word), Fraction(0))
+        gens = [self.base(dg.name, dg.index) for dg in word]
+        deg = sum(g.deg for g in gens)
+        # the dz - dt total is one integer added to the base weights' sum
+        cw = sum((g.cw for g in gens), Fraction(sum(dg.dz - dg.dt for dg in word)))
         dim = Fraction(sum(dg.dz for dg in word) - 2 * lam)
         return Grading(deg, cw, dim, cw - dim)
 
@@ -700,12 +699,17 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
 
 
 class Derivation:
-    """A graded derivation determined by its values on derived generators."""
+    """A graded derivation determined by its values on derived generators.
+
+    Each generator's image is computed by ``rule`` once for the life of the
+    derivation, so its memo holds at most one entry per derived generator seen.
+    """
 
     def __init__(self, system: System, parity: int, rule: Callable[[DerivedGenerator], DiffPoly]):
         self.system = system
         self.parity = parity
         self.rule = rule
+        self._images: Dict[DerivedGenerator, Dict[TermKey, Fraction]] = {}
 
     @classmethod
     def from_base_rules(cls, system: System, parity: int, images: Dict[Tuple[str, int], DiffPoly]) -> "Derivation":
@@ -724,7 +728,7 @@ class Derivation:
 
     def __call__(self, p: DiffPoly) -> DiffPoly:
         sys_ = self.system
-        images: Dict[DerivedGenerator, Dict[TermKey, Fraction]] = {}
+        images = self._images
         acc: Dict[TermKey, Fraction] = {}
         for (word, lam), c in p._terms.items():
             before = 0

@@ -10,7 +10,13 @@ The solver produces the unique odd element J = eta-tilde + ... with
 delta(J) + (1/2)[J,J]_star = 0, delta^{-1}(J) = 0, level by level in T.
 It computes each T-level once, from the order-s star pieces of level pairs
 (i, j, s) with i + j + s = k, keeping each level's derivative chains for the
-whole solve; the residual at level k reuses the same pieces.
+whole solve; the residual at level k reuses the same pieces.  Relabelling
+k1 <-> k2 gives B_s(G, F) = (-1)^{|F||G|+s} B_s(F, G) for the order-s piece,
+the graded form of f *_h g = g *_{-h} f.  Every level is odd, so the pieces
+of (i, j) and (j, i) cancel for even s and agree for odd s: the solver adds
+the odd-s pieces of pairs i <= j only, twice off the diagonal.  Each
+derivation keeps its generators' images for its lifetime, so ``delta_inv``'s
+three derivation passes per monomial derive each image once.
 """
 
 from __future__ import annotations
@@ -85,11 +91,11 @@ def _deriv(chain: Chain, k_t: int, k_z: int) -> DiffPoly:
     return d
 
 
-def _add_star_piece(acc: Dict[TermKey, Fraction], f: Chain, g: Chain, s: int) -> None:
-    """acc += the order-s part of F*G, which raises the T-level by s."""
+def _add_star_piece(acc: Dict[TermKey, Fraction], f: Chain, g: Chain, s: int, weight: int = 1) -> None:
+    """acc += weight * the order-s part of F*G, which raises the T-level by s."""
     for k1 in range(s + 1):
         k2 = s - k1
-        coef = Fraction((-1) ** k2, 2**s * math.factorial(k1) * math.factorial(k2))
+        coef = Fraction((-1) ** k2 * weight, 2**s * math.factorial(k1) * math.factorial(k2))
         _deriv(f, k1, k2)._mul_into(acc, _deriv(g, k2, k1), coef)
 
 
@@ -254,9 +260,11 @@ def fedosov_solve(tmax: int, system: Optional[System] = None) -> FedosovSolution
     residual_zero: Dict[int, bool] = {}
     for k in range(tmax + 1):
         acc: Dict[TermKey, Fraction] = {}
+        # by parity, (i, j) and (j, i) give twice the odd-s piece of (i, j)
         for i in range(k):
-            for j in range(k - i):
-                _add_star_piece(acc, chains[i], chains[j], k - i - j)
+            for j in range(i, k - i):
+                if (k - i - j) % 2:
+                    _add_star_piece(acc, chains[i], chains[j], k - i - j, 2 if i < j else 1)
         if k:
             rhs = _poly(sys_, {key: -c for key, c in acc.items()})
             g = deg_cw(rhs)
@@ -270,9 +278,7 @@ def fedosov_solve(tmax: int, system: Optional[System] = None) -> FedosovSolution
                 raise AssertionError(f"level {k} is not homogeneous of (deg,cw)=(1,1): {g}")
             levels.append(jk)
             chains.append({(0, 0): jk})
-        # the pairs with J_(k) complete level k of (1/2)[J, J]_star
-        for i, j in {(k, 0), (0, k)}:
-            _add_star_piece(acc, chains[i], chains[j], 0)
+        # the pairs with J_(k), (k, 0) and (0, k) at s = 0, cancel by parity
         _add_scaled(acc, d(levels[k])._terms)
         residual_zero[k] = not any(acc.values())
     return FedosovSolution(sys_, levels, residual_zero)

@@ -302,6 +302,25 @@ def test_derivations_match_oracle():
         assert D(F) == _apply_derivation_oracle(D, F)
 
 
+def test_derivation_image_memo_outlives_a_call():
+    """Applied to p and then to q, a derivation gives q the image a fresh one gives,
+    in value and term order, deriving each generator's image once."""
+    from chiralbv.moyal import delta_b, make_b_system
+    from chiralbv.sampling import random_bexpr
+
+    rng = random.Random(97)
+    B = make_b_system()
+    for _ in range(50):
+        p, q = (random_bexpr(rng, B, max_T=2, max_degree=4, max_dz=2) for _ in range(2))
+        D = delta_b(B)
+        seen = []
+        rule = D.rule
+        D.rule = lambda dg: seen.append(dg) or rule(dg)
+        D(p)
+        assert list(D(q)._terms.items()) == list(delta_b(B)(q)._terms.items())
+        assert sorted(seen) == sorted({dg for P in (p, q) for (w, _) in P._terms for dg in w})
+
+
 def test_derivation_with_multi_term_images_matches_oracle():
     """Even and odd derivations whose images carry several terms, lam powers and odd factors."""
     sys_, _ = make_mixed_system()

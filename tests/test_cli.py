@@ -170,12 +170,17 @@ def test_renorm_ucheck(tmp_path):
     assert rep["pass"]
 
 
-def test_phi_roundtrip(tmp_path):
+def _solution_expression(tmp_path, tmax):
+    """The expression of ``fedosov solve --tmax tmax``, written as phi's input file."""
     jfile = tmp_path / "j.json"
-    run(["fedosov", "solve", "--tmax", "1", "--out", str(jfile)])
-    expr = json.loads(jfile.read_text())["expression"]
+    assert run(["fedosov", "solve", "--tmax", str(tmax), "--out", str(jfile)]) == 0
     infile = tmp_path / "in.json"
-    infile.write_text(json.dumps(expr))
+    infile.write_text(json.dumps(json.loads(jfile.read_text())["expression"]))
+    return infile
+
+
+def test_phi_roundtrip(tmp_path):
+    infile = _solution_expression(tmp_path, 1)
     out = tmp_path / "modes.json"
     assert run(["phi", "--in", str(infile), "--bg-kmax", "3", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
@@ -183,11 +188,38 @@ def test_phi_roundtrip(tmp_path):
 
 
 def test_phi_budget_overflow_exit_3(tmp_path):
-    jfile = tmp_path / "j.json"
-    run(["fedosov", "solve", "--tmax", "1", "--out", str(jfile)])
-    infile = tmp_path / "in.json"
-    infile.write_text(json.dumps(json.loads(jfile.read_text())["expression"]))
+    infile = _solution_expression(tmp_path, 1)
     assert run(["phi", "--in", str(infile), "--bg-kmax", "3", "--kmax", "0"]) == 3
+
+
+def test_phi_wmax_reports_on_t4_solution(tmp_path):
+    """Unwindowed, this input grows past gigabytes; the window keeps it small."""
+    infile = _solution_expression(tmp_path, 4)
+    out = tmp_path / "modes.json"
+    assert run(["phi", "--in", str(infile), "--bg-kmax", "4", "--wmax", "2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["parameters"]["wmax"] == 2 and rep["modes"]["parts"]
+
+
+def test_phi_wmax_equals_restricted_unwindowed_modes(tmp_path):
+    from chiralbv.correspondence import restrict_index_weight
+    from chiralbv.vertex import ModeElement, make_bcov
+
+    infile = _solution_expression(tmp_path, 1)
+    system, _ = make_bcov(3)
+
+    def modes(*extra):
+        out = tmp_path / "modes.json"
+        assert run(["phi", "--in", str(infile), "--bg-kmax", "3", "--out", str(out), *extra]) == 0
+        return json.loads(out.read_text())["modes"]
+
+    full = ModeElement.from_obj(system, modes()).part(0)
+    kept = 0
+    for w in range(5):
+        expect = ModeElement.zero_mode(restrict_index_weight(full, w)).to_obj()
+        assert modes("--wmax", str(w)) == expect
+        kept += bool(expect["parts"])
+    assert kept >= 3
 
 
 def test_usage_error_exit_2(capsys, monkeypatch):
@@ -218,6 +250,7 @@ def test_usage_error_exit_2(capsys, monkeypatch):
         (["props", "--cases", "-1"], "--cases"),
         (["--threads", "0", "props", "--cases", "1"], "--threads"),
         (["phi", "--in", "j.json", "--bg-kmax", "-1"], "--bg-kmax"),
+        (["phi", "--in", "j.json", "--wmax", "-1"], "--wmax"),
         (["renorm", "ucheck", "--m", "1", "--k", "0,0", "--tol", "inf"], "--tol"),
         (["renorm", "ucheck", "--m", "1", "--k", "0,0", "--tol", "nan"], "--tol"),
         (["renorm", "ucheck", "--m", "1", "--k", "0,0", "--tol", "-1"], "--tol"),

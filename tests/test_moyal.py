@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiralbv.algebra import DiffPoly
+from chiralbv.algebra import DiffPoly, _poly
 from chiralbv.moyal import (
     closed_form_j0,
     delta_b,
@@ -19,7 +19,7 @@ from chiralbv.moyal import (
     star,
     star_bracket,
 )
-from chiralbv.moyal import _n_eigenvalue, bt, et, deg_cw
+from chiralbv.moyal import _add_star_piece, _n_eigenvalue, bt, et, deg_cw
 from chiralbv.properties import run_suite
 from chiralbv.sampling import random_bexpr
 from test_algebra import _apply_derivation_oracle as apply_oracle
@@ -265,6 +265,46 @@ def test_star_matches_oracle_on_seeded_pairs(B):
                 assert star(F, G, tmax, strict=strict)._terms == expect._terms
         assert star_bracket(F, G, 3, strict=False)._terms == _star_bracket_oracle(F, G, 3)._terms
     assert raised > 20
+
+
+def test_star_pieces_swap_by_parity(B):
+    """B_s(G, F) = (-1)^{|F||G| + s} B_s(F, G) for the order-s piece B_s of the product."""
+
+    def piece(F, G, s):
+        acc = {}
+        _add_star_piece(acc, {(0, 0): F}, {(0, 0): G}, s)
+        return _poly(B, acc)
+
+    rng = random.Random(89)
+    nonzero = {}
+    for _ in range(80):
+        pf, pg = rng.randint(0, 1), rng.randint(0, 1)
+        F = random_bexpr(rng, B, max_T=2, max_degree=3, max_dz=2, parity=pf)
+        G = random_bexpr(rng, B, max_T=2, max_degree=3, max_dz=2, parity=pg)
+        for s in range(5):
+            fg = piece(F, G, s)
+            assert piece(G, F, s) == fg.scale((-1) ** (pf * pg + s))
+            nonzero[pf * pg, s % 2] = nonzero.get((pf * pg, s % 2), 0) + (not fg.is_zero())
+    assert len(nonzero) == 4 and min(nonzero.values()) >= 10
+
+
+def test_fedosov_solve_work_counts(monkeypatch):
+    """Star pieces by parity and one image per derived generator cut the products
+    and total derivatives; delta_inv's eigenvector check keeps every derivation pass."""
+    from chiralbv import algebra
+
+    counts = {}
+    for cls, name in ((DiffPoly, "_mul_into"), (DiffPoly, "_derive"), (algebra.Derivation, "__call__")):
+        def counted(*args, _f=getattr(cls, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    sol = fedosov_solve(5)
+    delta_inv(sol.j())
+    assert counts["_mul_into"] <= 51
+    assert counts["_derive"] <= 174
+    assert counts["__call__"] == 1039
 
 
 def test_star_associativity_suite_seed_16():
