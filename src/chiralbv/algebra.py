@@ -16,6 +16,7 @@ function, so expressions can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -189,6 +190,8 @@ class System:
             if g.key in self._gens:
                 raise ValueError(f"duplicate generator id {g.name}{g.index}")
             self._gens[g.key] = g
+        self._cw_den = math.lcm(*(g.cw.denominator for g in self._gens.values()))
+        self._deg_cw = {k: (g.deg, g.cw.numerator * (self._cw_den // g.cw.denominator)) for k, g in self._gens.items()}
         # the declaration as plain ints and strings, shared by systems declared
         # alike and cheap to hash as a cache key
         self.signature = (species, tuple(sorted(
@@ -227,10 +230,10 @@ class System:
         return sum(self.parity(dg) for dg in word) % 2
 
     def word_grading(self, word: Word, lam: int) -> Grading:
-        gens = [self.base(dg.name, dg.index) for dg in word]
-        deg = sum(g.deg for g in gens)
-        # the dz - dt total is one integer added to the base weights' sum
-        cw = sum((g.cw for g in gens), Fraction(sum(dg.dz - dg.dt for dg in word)))
+        # integer (deg, cw * den) per generator over one den: three Fractions a word
+        den, pairs = self._cw_den, [self._deg_cw[dg.name, dg.index] for dg in word]
+        deg = sum(d for d, _ in pairs)
+        cw = Fraction(sum(c for _, c in pairs) + den * sum(dg.dz - dg.dt for dg in word), den)
         dim = Fraction(sum(dg.dz for dg in word) - 2 * lam)
         return Grading(deg, cw, dim, cw - dim)
 
@@ -727,15 +730,21 @@ class Derivation:
         return cls(system, parity, rule)
 
     def __call__(self, p: DiffPoly) -> DiffPoly:
+        return _poly(self.system, self._apply(p._terms))
+
+    def _apply(self, terms: Dict[TermKey, Fraction]) -> Dict[TermKey, Fraction]:
+        """The image of ``terms``, accumulated as in ``_add_scaled``.  Integral
+        image coefficients are kept as ints, so integer input stays integer."""
         sys_ = self.system
         images = self._images
         acc: Dict[TermKey, Fraction] = {}
-        for (word, lam), c in p._terms.items():
+        for (word, lam), c in terms.items():
             before = 0
             for i, dg in enumerate(word):
                 img = images.get(dg)
                 if img is None:
-                    img = images[dg] = self.rule(dg)._terms
+                    img = images[dg] = {k: v.numerator if v.denominator == 1 else v
+                                        for k, v in self.rule(dg)._terms.items()}
                 if img:
                     sc = -c if (self.parity and before % 2) else c
                     for (iw, il), ic in img.items():
@@ -746,4 +755,4 @@ class Derivation:
                             old = acc.get(key)
                             acc[key] = v if old is None else old + v
                 before += sys_.parity(dg)
-        return _poly(sys_, acc)
+        return acc

@@ -14,9 +14,12 @@ whole solve; the residual at level k reuses the same pieces.  Relabelling
 k1 <-> k2 gives B_s(G, F) = (-1)^{|F||G|+s} B_s(F, G) for the order-s piece,
 the graded form of f *_h g = g *_{-h} f.  Every level is odd, so the pieces
 of (i, j) and (j, i) cancel for even s and agree for odd s: the solver adds
-the odd-s pieces of pairs i <= j only, twice off the diagonal.  Each
-derivation keeps its generators' images for its lifetime, so ``delta_inv``'s
-three derivation passes per monomial derive each image once.
+the odd-s pieces of pairs i <= j only, twice off the diagonal.
+
+``star`` sums in integers: each factor as numerators over the lcm of its
+denominators, each piece's 1/(2^s k1! k2!) as an integer over 2^tmax tmax!,
+and one Fraction per output key.  ``delta_inv`` checks every monomial's
+N-eigenvector property on the unit monomial (N is linear), in integers.
 """
 
 from __future__ import annotations
@@ -92,11 +95,21 @@ def _deriv(chain: Chain, k_t: int, k_z: int) -> DiffPoly:
 
 
 def _add_star_piece(acc: Dict[TermKey, Fraction], f: Chain, g: Chain, s: int, weight: int = 1) -> None:
-    """acc += weight * the order-s part of F*G, which raises the T-level by s."""
+    """acc += weight * the order-s part of F*G, which raises the T-level by s.
+
+    A weight divisible by 2^s s! gives integer factors, so integer chains
+    accumulate in ints.
+    """
     for k1 in range(s + 1):
         k2 = s - k1
         coef = Fraction((-1) ** k2 * weight, 2**s * math.factorial(k1) * math.factorial(k2))
-        _deriv(f, k1, k2)._mul_into(acc, _deriv(g, k2, k1), coef)
+        _deriv(f, k1, k2)._mul_into(acc, _deriv(g, k2, k1), coef.numerator if coef.denominator == 1 else coef)
+
+
+def _integral(p: DiffPoly) -> Tuple[DiffPoly, int]:
+    """p as integer numerators over the lcm of its coefficient denominators."""
+    den = math.lcm(*(c.denominator for c in p._terms.values()))
+    return DiffPoly(p.system, {key: c.numerator * (den // c.denominator) for key, c in p._terms.items()}), den
 
 
 def star(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
@@ -110,19 +123,23 @@ def star(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
     nothing below the budget and are skipped, which is exact for
     consumers that only read T-levels <= tmax.
     """
-    levels_f = split_t_levels(F)
-    levels_g = split_t_levels(G)
+    (F_int, den_f), (G_int, den_g) = _integral(F), _integral(G)
+    levels_f = split_t_levels(F_int)
+    levels_g = split_t_levels(G_int)
     if strict and levels_f and levels_g and min(levels_f) + min(levels_g) > tmax:
         raise ValueError("tmax is below the T-levels already present")
     chains_f = {tf: {(0, 0): Fc} for tf, Fc in levels_f.items()}
     chains_g = {tg: {(0, 0): Gc} for tg, Gc in levels_g.items()}
-    acc: Dict[TermKey, Fraction] = {}
+    # every piece's 1/(2^s k1! k2!) is an integer over 2^tmax tmax!
+    scale = 2**tmax * math.factorial(tmax) if tmax > 0 else 1
+    acc: Dict[TermKey, int] = {}
     for tf, f in chains_f.items():
         for tg, g in chains_g.items():
             # pairs with tf + tg > tmax only produce T-levels above tmax
             for s in range(tmax - tf - tg + 1):
-                _add_star_piece(acc, f, g, s)
-    return _poly(F.system, acc)
+                _add_star_piece(acc, f, g, s, scale)
+    den = den_f * den_g * scale
+    return DiffPoly(F.system, {key: Fraction(v, den) for key, v in acc.items() if v})
 
 
 def star_bracket(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
@@ -168,14 +185,8 @@ def delta_star(system: System) -> Derivation:
     return Derivation(system, 1, rule)
 
 
-def _n_eigenvalue(system: System, word) -> int:
-    n = 0
-    for dg in word:
-        if dg.name == "bt":
-            n += 1
-        elif dg.name == "et" and dg.dz >= 1:
-            n += 1
-    return n
+def _n_eigenvalue(word) -> int:
+    return sum(1 for dg in word if dg.name == "bt" or (dg.name == "et" and dg.dz >= 1))
 
 
 def delta_inv(p: DiffPoly) -> DiffPoly:
@@ -188,14 +199,18 @@ def delta_inv(p: DiffPoly) -> DiffPoly:
     d = delta_b(sys_)
     ds = delta_star(sys_)
     acc: Dict[TermKey, Fraction] = {}
-    for (word, lam), c in p._terms.items():
-        n = _n_eigenvalue(sys_, word)
-        mono = DiffPoly(sys_, {(word, lam): c})
-        ds_mono = ds(mono)
-        if d(ds_mono) + ds(d(mono)) != mono.scale(Fraction(n)):
-            raise AssertionError(f"monomial is not an N-eigenvector: {word}")
+    for key, c in p._terms.items():
+        # N is linear and c != 0: check the unit monomial, in integers
+        unit = {key: 1}
+        ds_unit = ds._apply(unit)
+        n_unit = d._apply(ds_unit)
+        _add_scaled(n_unit, ds._apply(d._apply(unit)))
+        n = _n_eigenvalue(key[0])
+        if {k: v for k, v in n_unit.items() if v} != ({key: n} if n else {}):
+            raise AssertionError(f"monomial is not an N-eigenvector: {key[0]}")
         if n:
-            _add_scaled(acc, ds_mono._terms, Fraction(1, n))
+            f = c / n
+            _add_scaled(acc, ((k, f * v) for k, v in ds_unit.items()))
     return _poly(sys_, acc)
 
 

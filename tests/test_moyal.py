@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiralbv.algebra import DiffPoly, _poly
+from chiralbv.algebra import Derivation, DerivedGenerator, DiffPoly, _poly
 from chiralbv.moyal import (
     closed_form_j0,
     delta_b,
@@ -159,6 +159,36 @@ def test_n_eigenvector_guard(B):
         delta_inv(F)
 
 
+def test_n_eigenvector_guard_catches_a_broken_delta_star(B, monkeypatch):
+    """With Dz^{m+1} Dt^k et -> 2 Dz^m Dt^k bt, every monomial of N-eigenvalue n > 0
+    gives 2n in place of n, so delta_inv must raise on it and only on it."""
+    from chiralbv import moyal
+
+    def broken_delta_star(system):
+        def rule(dg):
+            if dg.name == "et" and dg.dz >= 1:
+                return system.monomial([DerivedGenerator("bt", 0, dg.dz - 1, dg.dt)], coef=2)
+            return system.zero()
+
+        return Derivation(system, 1, rule)
+
+    monkeypatch.setattr(moyal, "delta_star", broken_delta_star)
+    rng = random.Random(13)
+    raised = passed = 0
+    for _ in range(20):
+        F = random_bexpr(rng, B, max_T=2, max_degree=3, max_dz=2)
+        for key, c in F._terms.items():
+            mono = DiffPoly(B, {key: c})
+            if _n_eigenvalue(key[0]):
+                with pytest.raises(AssertionError, match="monomial is not an N-eigenvector"):
+                    delta_inv(mono)
+                raised += 1
+            else:
+                assert delta_inv(mono).is_zero()
+                passed += 1
+    assert raised >= 20 and passed >= 1
+
+
 def test_bexpr_gradings(B):
     # eta~ carries (deg, cw, dim, hw) = (1, 1, 0, 1)
     g = B.monomial([et(B)]).grade()
@@ -208,7 +238,7 @@ def _delta_inv_oracle(p):
     d, ds = delta_b(sys_), delta_star(sys_)
     out = sys_.zero()
     for (word, lam), c in p._terms.items():
-        n = _n_eigenvalue(sys_, word)
+        n = _n_eigenvalue(word)
         mono = DiffPoly(sys_, {(word, lam): c})
         assert apply_oracle(d, apply_oracle(ds, mono)) + apply_oracle(ds, apply_oracle(d, mono)) == mono.scale(n)
         if n:
@@ -290,11 +320,10 @@ def test_star_pieces_swap_by_parity(B):
 
 def test_fedosov_solve_work_counts(monkeypatch):
     """Star pieces by parity and one image per derived generator cut the products
-    and total derivatives; delta_inv's eigenvector check keeps every derivation pass."""
-    from chiralbv import algebra
-
+    and total derivatives; delta_inv's eigenvector check keeps every derivation
+    pass, counted at ``_apply``, which every pass enters."""
     counts = {}
-    for cls, name in ((DiffPoly, "_mul_into"), (DiffPoly, "_derive"), (algebra.Derivation, "__call__")):
+    for cls, name in ((DiffPoly, "_mul_into"), (DiffPoly, "_derive"), (Derivation, "_apply")):
         def counted(*args, _f=getattr(cls, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _f(*args, **kwargs)
@@ -304,7 +333,47 @@ def test_fedosov_solve_work_counts(monkeypatch):
     delta_inv(sol.j())
     assert counts["_mul_into"] <= 51
     assert counts["_derive"] <= 174
-    assert counts["__call__"] == 1039
+    assert counts["_apply"] == 1039
+
+
+def _order_digest(polys):
+    """sha256 over each expression's terms in order, with coefficient type and value;
+    None stands for a call that raised ValueError."""
+    rows = [None if p is None else [(key, type(c).__name__, str(c)) for key, c in p._terms.items()] for p in polys]
+    assert all(type(c) is Fraction for p in polys if p is not None for c in p._terms.values())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_star_pinned_in_value_term_order_and_type(B):
+    """Digests taken from the Fraction-summed star: integer sums must not move a term."""
+    rng = random.Random(101)
+    products, brackets = [], []
+    for _ in range(60):
+        F = random_bexpr(rng, B, max_T=rng.randint(0, 3), max_degree=3, max_dz=2, parity=rng.randint(0, 1))
+        G = random_bexpr(rng, B, max_T=rng.randint(0, 3), max_degree=3, max_dz=2, parity=rng.randint(0, 1))
+        for tmax in range(5):
+            for strict in (True, False):
+                try:
+                    products.append(star(F, G, tmax, strict=strict))
+                except ValueError:
+                    products.append(None)
+        brackets.append(star_bracket(F, G, 3, strict=False))
+    assert products.count(None) > 10
+    assert _order_digest(products) == "4da451e610428f36c729ffa53065f87741814dcf7a7f154b65d64a4f36775d68"
+    assert _order_digest(brackets) == "cdbb41a550f050284e1c3427c3273e50a71e1d863a1c16d95dae650d213ab46d"
+
+
+def test_fedosov_and_delta_inv_pinned_in_value_term_order_and_type(B):
+    """Digests taken from the Fraction-summed solver and homotopy: every level and
+    delta_inv(J) for T <= 6, and delta_inv on seeded expressions."""
+    polys = []
+    for tmax in range(7):
+        sol = fedosov_solve(tmax)
+        polys += sol.levels + [delta_inv(sol.j())]
+    assert _order_digest(polys) == "faa162eb725c0c3cd256818fa7c0992d03cb893500b371528a00739f5886dcc7"
+    rng = random.Random(103)
+    images = [delta_inv(random_bexpr(rng, B, max_T=3, max_degree=4, max_dz=3)) for _ in range(60)]
+    assert _order_digest(images) == "7f7f0daaba0108389c4dfc1a22ba2e092d03aed822a68e99f7508c2444754cc1"
 
 
 def test_star_associativity_suite_seed_16():
