@@ -153,9 +153,9 @@ class DerivedGenerator(NamedTuple):
         return s
 
 
-def _dg_sort_key(dg: DerivedGenerator) -> Tuple[str, int, int, int]:
-    # Canonical monomial order: lexicographic on (generator id, dt, dz).
-    return (dg.name, dg.index, dg.dt, dg.dz)
+def _word_order(word: Sequence[DerivedGenerator]) -> Tuple[Tuple[str, int, int, int], ...]:
+    # Canonical word order: factor by factor, lexicographic on (generator id, dt, dz).
+    return tuple((dg.name, dg.index, dg.dt, dg.dz) for dg in word)
 
 
 class Grading(NamedTuple):
@@ -222,9 +222,6 @@ class System:
 
     def parity(self, dg: DerivedGenerator) -> int:
         return self.base(dg.name, dg.index).parity
-
-    def deg(self, dg: DerivedGenerator) -> int:
-        return self.base(dg.name, dg.index).deg
 
     def word_parity(self, word: Word) -> int:
         return sum(self.parity(dg) for dg in word) % 2
@@ -341,7 +338,7 @@ class DiffPoly:
 
     def terms(self) -> Iterator[Tuple[Word, Scalar]]:
         """Iterate ``(monomial, Scalar)`` pairs in canonical order."""
-        for (word, lam) in sorted(self._terms, key=lambda k: (tuple(map(_dg_sort_key, k[0])), k[1])):
+        for (word, lam) in sorted(self._terms, key=lambda k: (_word_order(k[0]), k[1])):
             yield word, Scalar(self._terms[(word, lam)], lam)
 
     def num_terms(self) -> int:
@@ -604,7 +601,7 @@ def _enumerate_slice(system: System, profile: Tuple[Tuple[str, int, int], ...], 
                 build(gi + 1, remaining - s, acc + [DerivedGenerator(name, index, d, dt) for d in dist])
 
     build(0, total_dz, [])
-    return sorted(set(words), key=lambda w: tuple(map(_dg_sort_key, w)))
+    return sorted(set(words), key=_word_order)
 
 
 def _axpy(dst: Dict, src: Dict, f) -> None:
@@ -677,7 +674,8 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
 
     The complement is determined per graded slice by exact row reduction of
     the T-image against the canonical monomial order, so the decomposition
-    is deterministic and h vanishes iff p is a total z-derivative.
+    is deterministic and h vanishes iff p is a total z-derivative.  h lists
+    its terms in canonical order, which every normal form inherits.
     Raises ValueError if p has a constant term.
     """
     if p.constant_part():
@@ -698,7 +696,8 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
         _reduce(rows, vec, combo)  # now p = T(-combo) + vec on this slice
         c_terms.update({(w, lam): -c for w, c in combo.items()})
         h_terms.update({(basis[i], lam): c for i, c in vec.items()})
-    return DiffPoly(sys_, c_terms), DiffPoly(sys_, h_terms)
+    h = sorted(h_terms.items(), key=lambda kv: (_word_order(kv[0][0]), kv[0][1]))
+    return DiffPoly(sys_, c_terms), DiffPoly(sys_, dict(h))
 
 
 class Derivation:

@@ -223,15 +223,15 @@ class QuantumMCReport:
 def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[DiffPoly]:
     """Find background-only j with NF(delta oint j) = -residual, if it exists.
 
-    Candidates first replace one dz-carrying eta_l factor of a residual
-    term by the b_{l+1} preimage; wherever these suffice, they fix the
-    counterterm and its term order.  The rest of every slice that delta
-    maps into a residual term's slice follows (the term's factors with one
-    eta_l turned into b_{l+1}, one z-derivative fewer), so the candidates
-    span every preimage.  Their images are reduced in candidate order; a
-    candidate whose image is already spanned is dropped, and the residual
-    reduced against the rest gives the unique solution on them.  Returns
-    None when the residual is not delta-exact in the central sector.
+    Candidates follow the residual's terms in canonical order.  They first
+    replace one dz-carrying eta_l factor of a residual term by the b_{l+1}
+    preimage.  The rest of every slice that delta maps into a residual
+    term's slice follows (the term's factors with one eta_l turned into
+    b_{l+1}, one z-derivative fewer), so the candidates span every
+    preimage.  Their images are reduced in candidate order; a candidate
+    whose image is already spanned is dropped, and the residual reduced
+    against the rest gives the unique solution on them.  Returns None when
+    the residual is not delta-exact in the central sector.
     """
     delta = delta_bcov(system)
 
@@ -240,16 +240,16 @@ def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[D
 
     candidates: Dict = {}  # term keys in first-seen order
     slices: Dict = {}  # the rest of the preimage slices, appended after them
-    for (word, lam) in residual._terms:
+    for word, sc in residual.terms():
         total_dz = sum(dg.dz for dg in word)
         for i, dg in enumerate(word):
             if dg.name != "eta" or not total_dz or not system.has("b", dg.index + 1):
                 continue
             if dg.dz:
                 cand = word[:i] + (DerivedGenerator("b", dg.index + 1, dg.dz - 1, 0),) + word[i + 1 :]
-                candidates.update(dict.fromkeys(system.monomial(cand, lam=lam)._terms))
+                candidates.update(dict.fromkeys(system.monomial(cand, lam=sc.lam)._terms))
             profile = _word_profile(word[:i] + (DerivedGenerator("b", dg.index + 1, 0, dg.dt),) + word[i + 1 :])
-            slices.update(dict.fromkeys((w, lam) for w in _enumerate_slice(system, profile, total_dz - 1)))
+            slices.update(dict.fromkeys((w, sc.lam) for w in _enumerate_slice(system, profile, total_dz - 1)))
     candidates.update(slices)
     if not candidates:
         return None if not residual.is_zero() else system.zero()
@@ -282,7 +282,7 @@ def bcov_mc_report(tmax: int, wmax: int, solution: Optional[FedosovSolution] = N
     bg = BackgroundSubstitution(kmax=max(wmax, 1))
     delta = delta_bcov(system)
     I = phi(sol.j(), system, bg, wmax=wmax).part(0)
-    raw = delta(I) + _windowed_zero_product(I, I, tbl, wmax).scale(Fraction(PHI_BRACKET_ORIENTATION, 2))
+    raw = delta(I) + _windowed_zero_product(I, None, tbl, wmax).scale(Fraction(PHI_BRACKET_ORIENTATION, 2))
     raw_nf = mode_normal_form(ModeElement.zero_mode(raw)).part(0)
     purely_central = all(background_only(w) for (w, _) in raw_nf._terms)
     counterterm = _solve_central_counterterm(system, raw_nf) if purely_central else None

@@ -21,13 +21,14 @@ only the terms of weight <= w instead of filtering them out afterwards.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional
 
 from .algebra import BudgetError, DerivedGenerator, DiffPoly, Scalar, System, Word, _add_scaled, _group_terms, _poly
 from .moyal import star_bracket
-from .vertex import ModeElement, mode_normal_form, nth_product
+from .vertex import ModeElement, _pairs, _product_sum, _shared, _split_terms, mode_normal_form, nth_product
 
 __all__ = [
     "PHI_BRACKET_ORIENTATION",
@@ -236,10 +237,12 @@ def restrict_index_weight(p: DiffPoly, wmax: int) -> DiffPoly:
     return p.filter(lambda word, lam: index_weight(word) <= wmax)
 
 
-def _windowed_zero_product(A: DiffPoly, B: DiffPoly, tbl, wmax: int) -> DiffPoly:
+def _windowed_zero_product(A: DiffPoly, B: Optional[DiffPoly], tbl, wmax: int) -> DiffPoly:
     """A_(0) B on the index-weight window w <= wmax, cut before the Wick expansion:
     weight-0 contractions keep the weight, so each weight-w slice of A meets
     only the weight <= wmax - w part of B.  Other contractions raise ValueError.
+    Without B, A_(0) A modulo total derivatives from the pairs i <= k of
+    `mc_residual`, A's terms in index-weight order and each cut to its window.
     """
     for a, b in tbl._table:
         for name, index in (a, b):
@@ -247,6 +250,12 @@ def _windowed_zero_product(A: DiffPoly, B: DiffPoly, tbl, wmax: int) -> DiffPoly
                 raise ValueError(
                     f"the windowed 0-product needs weight-0 contractions, but the table contracts {name}{index}"
                 )
+    if B is None:
+        tbl.check_operands(A)
+        tbl = _shared(tbl)
+        terms = sorted(_split_terms(A, tbl), key=lambda t: index_weight(t[0]))
+        weights = [index_weight(t[0]) for t in terms]
+        return _product_sum(A.system, tbl, 0, _pairs(terms, ends=[bisect_right(weights, wmax - w) for w in weights]))
     acc: dict = {}
     for w, slice_a in sorted(_group_terms(A, index_weight).items()):
         _add_scaled(acc, nth_product(slice_a, 0, restrict_index_weight(B, wmax - w), tbl)._terms)

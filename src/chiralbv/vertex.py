@@ -310,17 +310,17 @@ def _split_terms(p: DiffPoly, tbl: ContractionTable) -> List[Term]:
     return out
 
 
-def _pairs(termsA: List[Term], termsB: Optional[List[Term]] = None):
+def _pairs(termsA: List[Term], termsB: Optional[List[Term]] = None, ends: Optional[List[int]] = None):
     """(tA, tB, weight) over the pairs of `_split_terms` that can contract.
 
-    Given termsB, all ordered pairs with weight 1.  Without it, the pairs
-    i <= k of termsA: the diagonal with weight 1, the others with
-    1 - (-1)^{p_i p_k} (see `mc_residual`).  Pairs of weight 0 and pairs
-    with no contractible generator pair contribute nothing and are skipped.
+    Given termsB, all ordered pairs with weight 1.  Without it, the pairs i <= k
+    of termsA, k < ends[i] when ends is given: the diagonal with weight 1, the
+    others with 1 - (-1)^{p_i p_k} (see `mc_residual`).  Pairs of weight 0 and
+    pairs with no contractible generator pair contribute nothing and are skipped.
     """
     if termsB is None:
         pairs = ((tA, termsA[k], 1 if k == i else 1 - (-1) ** (tA[3] * termsA[k][3]))
-                 for i, tA in enumerate(termsA) for k in range(i, len(termsA)))
+                 for i, tA in enumerate(termsA) for k in range(i, len(termsA) if ends is None else ends[i]))
     else:
         pairs = ((tA, tB, 1) for tA in termsA for tB in termsB)
     return ((tA, tB, w) for tA, tB, w in pairs if w and not tA[5].isdisjoint(tB[4]))
@@ -584,9 +584,8 @@ def mc_residual(
     Skew-symmetry, b_(0)a = -(-1)^{p(a)p(b)} a_(0)b modulo total
     derivatives, lets the pairs i <= k of the terms of I stand for all
     ordered pairs (weights in `_pairs`).  It holds only modulo d, so only
-    this normal-formed residual uses it: raw `mode_bracket` keeps every
-    ordered pair, and so does `bcov_mc_report`'s windowed self-bracket,
-    whose counterterm solve depends on the residual's term order.
+    normal-formed residuals use it: raw `mode_bracket` keeps every ordered
+    pair.
     """
     if delta.parity != 1:
         raise ValueError("the differential must be odd (degree 1)")

@@ -20,6 +20,11 @@ from chiralbv.algebra import DerivedGenerator, _enumerate_slice
 from chiralbv.vertex import ModeElement, delta_bcov, make_bcov, mode_normal_form, nth_product
 
 
+def order_digest(p):
+    """A digest of p's terms in their stored order."""
+    return hashlib.sha256(repr(list(p._terms.items())).encode()).hexdigest()[:16]
+
+
 def _term(factors, den, num=1):
     """One serialized term: factors (gen, k, dz), coefficient num/den at lam^0."""
     return {"mono": [{"gen": g, "k": k, "dz": dz, "dt": 0} for g, k, dz in factors],
@@ -229,14 +234,11 @@ def test_counterterm_pinned_on_weight_3_window():
 def test_residual_and_counterterm_pinned_on_weight_4_window():
     """The (4, 4) window: raw residual and counterterm in value (``to_obj``
     lists terms in canonical order) and in term order (a digest of the
-    ``_terms`` items in order), both taken from the filter-late path."""
-
-    def order_digest(p):
-        return hashlib.sha256(repr(list(p._terms.items())).encode()).hexdigest()[:16]
-
+    ``_terms`` items in order).  The residual's value is the filter-late
+    path's; the counterterm repairs it."""
     rep = bcov_mc_report(4, 4)
-    assert order_digest(rep.raw_residual) == "3e1cda0a67ff128f"
-    assert order_digest(rep.counterterm) == "733d2bb5217fa50c"
+    assert order_digest(rep.raw_residual) == "fedf74ff9cd6a723"
+    assert order_digest(rep.counterterm) == "413b7411bfbb9a75"
     assert rep.raw_residual.to_obj() == {"terms": [
         _term([("b", 1, 0), ("b", 1, 0), ("eta", 0, 1), ("eta", 0, 2)], 8, -1),
         _term([("b", 1, 0), ("b", 1, 2), ("eta", 0, 0), ("eta", 0, 1)], 4),
@@ -248,15 +250,39 @@ def test_residual_and_counterterm_pinned_on_weight_4_window():
         _term([("eta", 1, 2), ("eta", 1, 3)], 640),
     ]}
     assert rep.counterterm.to_obj() == {"terms": [
-        _term([("b", 1, 0), ("b", 1, 0), ("b", 1, 2), ("eta", 0, 0)], 8),
+        _term([("b", 1, 0), ("b", 1, 0), ("b", 1, 0), ("eta", 0, 2)], 48),
+        _term([("b", 1, 0), ("b", 1, 0), ("b", 1, 2), ("eta", 0, 0)], 16),
         _term([("b", 1, 0), ("b", 1, 0), ("eta", 0, 2)], 48),
-        _term([("b", 1, 0), ("b", 1, 1), ("b", 1, 1), ("eta", 0, 0)], 8),
         _term([("b", 1, 0), ("b", 1, 2), ("eta", 0, 0)], 24),
         _term([("b", 1, 0), ("eta", 0, 2)], 24),
         _term([("b", 1, 4), ("eta", 2, 0)], 480),
         _term([("b", 2, 1), ("eta", 1, 3)], 640, -1),
     ]}
+    delta = delta_bcov(rep.counterterm.system)
+    assert mode_normal_form(ModeElement.zero_mode(delta(rep.counterterm))).part(0) == -rep.raw_residual
     assert rep.repaired_zero
+
+
+def test_counterterm_ignores_residual_term_order():
+    """The (4, 4) residual with its terms reversed gives the same counterterm,
+    in the same term order."""
+    from chiralbv.algebra import DiffPoly
+    from chiralbv.bcov import _solve_central_counterterm
+
+    rep = bcov_mc_report(4, 4)
+    raw = rep.raw_residual
+    got = _solve_central_counterterm(raw.system, DiffPoly(raw.system, dict(reversed(raw._terms.items()))))
+    assert order_digest(got) == order_digest(rep.counterterm)
+
+
+def test_self_bracket_wick_misses_on_weight_4_window():
+    """A cold bcov_mc_report(4, 4) expands 196 monomial pairs, the pairs i <= k
+    of the interaction's terms that fit the window (all ordered pairs: 379)."""
+    from chiralbv.vertex import _cached_wick_terms
+
+    _cached_wick_terms.cache_clear()
+    bcov_mc_report(4, 4)
+    assert _cached_wick_terms.cache_info().misses == 196
 
 
 def test_quantum_mc_repaired_on_weight_5_window():
@@ -278,6 +304,19 @@ def test_windowed_self_bracket_equals_filtered(tmax, wmax):
     filtered = restrict_index_weight(delta_bcov(system)(I) + br, wmax)
     expect = mode_normal_form(ModeElement.zero_mode(filtered)).part(0)
     assert list(bcov_mc_report(tmax, wmax).raw_residual._terms.items()) == list(expect._terms.items())
+
+
+def test_skew_self_bracket_equals_ordered_on_weight_5_window():
+    """The self-bracket from the pairs i <= k and the one from all ordered
+    pairs, each cut to the window, normal-form alike in value and term order."""
+    from chiralbv.correspondence import _windowed_zero_product
+
+    system, tbl = make_bcov(5)
+    I = phi(fedosov_solve(5).j(), system, BackgroundSubstitution(kmax=5), wmax=5).part(0)
+    skew, ordered = (mode_normal_form(ModeElement.zero_mode(_windowed_zero_product(I, B, tbl, 5))).part(0)
+                     for B in (None, I))
+    assert not skew.is_zero()
+    assert list(skew._terms.items()) == list(ordered._terms.items())
 
 
 def test_counterterm_matches_former_dense_solve():

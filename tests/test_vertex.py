@@ -507,11 +507,8 @@ def test_mc_residual_matches_all_pairs_on_psm():
 
 
 def test_mc_residual_matches_all_pairs_mod_d_with_both_parities():
-    """Value, on interactions whose terms have both parities (weight-0 pairs)
-    and on BCOV interactions.  The term order of the normal form may differ
-    here (a few mixed cases in a hundred): the off-diagonal pairs' total
-    derivatives no longer cancel before the IBP reduction, which lists the
-    surviving words in the order it meets them."""
+    """Value and term order, on interactions whose terms have both parities
+    (weight-0 pairs) and on BCOV interactions."""
     from chiralbv.algebra import Derivation
     from chiralbv.vertex import delta_bcov, mc_residual
 
@@ -522,7 +519,7 @@ def test_mc_residual_matches_all_pairs_mod_d_with_both_parities():
     for _ in range(100):
         I = random_diffpoly(rng, sys_, max_terms=5, max_degree=3, max_dz=2)
         got = mc_residual(I, delta, tbl)
-        assert (got - _mc_residual_all_pairs(I, delta, tbl)).is_zero()
+        assert _same_modes(got, _mc_residual_all_pairs(I, delta, tbl))
         mixed += len({sys_.word_parity(w) for (w, _) in I._terms}) == 2 and not got.is_zero()
     assert mixed > 20
     bsys, btbl = make_bcov(3)
@@ -531,7 +528,29 @@ def test_mc_residual_matches_all_pairs_mod_d_with_both_parities():
         I = random_diffpoly(rng, bsys, max_terms=4, max_degree=3, max_dz=2)
         for hbar_inv in (Scalar(Fraction(1), -1), Scalar.of(3)):
             got = mc_residual(I, bdelta, btbl, hbar_inv)
-            assert (got - _mc_residual_all_pairs(I, bdelta, btbl, hbar_inv)).is_zero()
+            assert _same_modes(got, _mc_residual_all_pairs(I, bdelta, btbl, hbar_inv))
+
+
+def test_normal_form_term_order_depends_only_on_value():
+    """One value, one term order: the residual built from all ordered pairs,
+    the same terms listed in reverse, and the skew-paired residual of
+    `mc_residual` (equal to them only modulo d) normal-form alike."""
+    from chiralbv.algebra import Derivation, DiffPoly
+    from chiralbv.vertex import _pairs, _product_sum, _split_terms
+
+    sys_, tbl = make_mixed_system()
+    delta = Derivation.from_base_rules(sys_, 1, {("a", 0): sys_.monomial([sys_.gen("c", 0, dz=1)])})
+    rng = random.Random(59)
+    nonzero = 0
+    for _ in range(100):
+        I = random_diffpoly(rng, sys_, max_terms=5, max_degree=3, max_dz=2)
+        raw = delta(I) + nth_product(I, 0, I, tbl)
+        builds = [raw, DiffPoly(sys_, dict(reversed(raw._terms.items()))),
+                  delta(I) + _product_sum(sys_, tbl, 0, _pairs(_split_terms(I, tbl)))]
+        nfs = [mode_normal_form(ModeElement.zero_mode(p)) for p in builds]
+        assert all(_same_modes(nf, nfs[0]) for nf in nfs[1:])
+        nonzero += nfs[0].part(0).num_terms() > 1
+    assert nonzero > 20
 
 
 def test_pair_skip_matches_all_pairs():
