@@ -252,7 +252,7 @@ def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[D
             slices.update(dict.fromkeys((w, sc.lam) for w in _enumerate_slice(system, profile, total_dz - 1)))
     candidates.update(slices)
     if not candidates:
-        return None if not residual.is_zero() else system.zero()
+        return None if nf_terms(residual) else system.zero()
 
     rows: list = []
     for key in candidates:

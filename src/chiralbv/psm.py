@@ -6,8 +6,10 @@ odd, deg -1), eta_i (0-form, odd, deg 1) and etaw_i (dz-component, even,
 deg 0).  The propagator (dz - dw)/(z - w) becomes two simple-pole entries,
 phi_i(z) etaw_j(w) ~ -lam/(z-w) and phiw_i(z) eta_j(w) ~ +lam/(z-w).
 
-The interaction is the dz-component of P^{ij}(phi) eta_i eta_j, extracted
-with an explicit odd dz symbol so all Koszul signs are canonical.  Its
+The interaction is the dz-component of P^{ij}(phi) eta_i eta_j in the
+superfields phi_i + dz phiw_i and eta_i + dz etaw_i, built by the Leibniz
+rule: one factor at a time goes to its dz-component partner, signed by the
+odd factors before it, and each word is sorted with its Koszul sign.  Its
 Maurer-Cartan residual vanishes iff the bivector satisfies the Jacobi
 identity through the truncation degree; multi-contraction sectors vanish
 identically by form degree.
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Derivation, DiffPoly, Generator, Scalar, System, _add_scaled, _json_int, _poly
+from .algebra import (Derivation, DerivedGenerator, DiffPoly, Generator, Scalar, System, _add_scaled, _json_int,
+                      _poly, _sort_word)
 from .vertex import ContractionTable, ModeElement, mc_residual
 
 __all__ = [
@@ -90,13 +93,16 @@ class PoissonBivector:
         """Schouten component sum_l (P^{il} d_l P^{jk} + cyclic) per i<j<k."""
         out = {}
         n = self.dim
+        comp = [[self.component(i, j) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     acc: PolyDict = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for l in range(n):
-                            _add_scaled(acc, _poly_mul(self.component(a, l), _poly_diff(self.component(b, c), l)))
+                            d = _poly_diff(comp[b][c], l) if comp[a][l] else None
+                            if d:
+                                _add_scaled(acc, _poly_mul(comp[a][l], d))
                     acc = {e: v for e, v in acc.items() if v != 0}
                     if acc:
                         out[(i, j, k)] = acc
@@ -149,58 +155,34 @@ def make_psm_table(system: System, n: int) -> ContractionTable:
     return ContractionTable(system, entries)
 
 
-def _superfield(system: System, zero: str, one: str, i: int) -> DiffPoly:
-    # component + dz * dz-component, with dz an explicit odd generator
-    return system.monomial([system.gen(zero, i)]) + system.monomial(
-        [system.gen("dz", 0), system.gen(one, i)]
-    )
-
-
-def _eval_poly(system: System, poly: PolyDict, fields: List[DiffPoly], deg_max: int) -> DiffPoly:
-    acc: dict = {}
-    for e, c in poly.items():
+def _add_dz_part(system: System, acc: dict, poly: PolyDict, etas: Tuple[int, ...], deg_max: int) -> None:
+    """acc += dz-component of poly(phi) eta_{etas[0]} eta_{etas[1]} ..., from
+    the terms of poly of degree <= deg_max - 2.  The partner of a 0-form is
+    named with a trailing w; only the etas are odd, and they follow every phi."""
+    for e, coef in poly.items():
         if sum(e) + 2 > deg_max:
             continue
-        term = system.one(coef=c)
-        for i, p in enumerate(e):
-            for _ in range(p):
-                term = term.mul(fields[i], max_degree=deg_max + 1)
-        _add_scaled(acc, term._terms)
-    return _poly(system, acc)
-
-
-def _dz_component(p: DiffPoly) -> DiffPoly:
-    """Coefficient of the odd symbol dz, extracted from the left."""
-    sys_ = p.system
-    terms = {}
-    for (word, lam), c in p._terms.items():
-        pos = [i for i, dg in enumerate(word) if dg.name == "dz"]
-        if len(pos) != 1:
-            continue
-        i = pos[0]
-        before = sum(sys_.parity(g) for g in word[:i])
-        sign = -1 if before % 2 else 1
-        terms[(word[:i] + word[i + 1 :], lam)] = sign * c
-    return DiffPoly(sys_, terms)
+        zeros = [DerivedGenerator("phi", i, 0, 0) for i, p in enumerate(e) for _ in range(p)]
+        zeros += [DerivedGenerator("eta", i, 0, 0) for i in etas]
+        signed, odd = (coef, -coef), 0
+        for k, g in enumerate(zeros):
+            sw = _sort_word(system, (*zeros[:k], DerivedGenerator(g.name + "w", g.index, 0, 0), *zeros[k + 1 :]))
+            if sw is not None:
+                key, c = (sw[0], 0), signed[odd ^ (sw[1] < 0)]
+                old = acc.get(key)
+                acc[key] = c if old is None else old + c
+            odd ^= g.name == "eta"
 
 
 def build_psm(P: PoissonBivector, deg_max: int) -> Tuple[System, ContractionTable, DiffPoly]:
     """Declare the component system, its contraction table, and the
     dz-component of the interaction sum_{i,j} P^{ij}(phi) eta_i eta_j,
     truncated at polynomial degree deg_max."""
-    n = P.dim
-    system = make_psm_system(n)
-    tbl = make_psm_table(system, n)
-    phis = [_superfield(system, "phi", "phiw", i) for i in range(n)]
-    etas = [_superfield(system, "eta", "etaw", i) for i in range(n)]
-    acc: dict = {}
-    for i in range(n):
-        for j in range(n):
-            poly = P.component(i, j)
-            if poly:
-                piece = _eval_poly(system, poly, phis, deg_max).mul(etas[i], max_degree=deg_max + 1)
-                piece._mul_into(acc, etas[j], max_degree=deg_max + 1)
-    return system, tbl, _dz_component(_poly(system, acc))
+    system, acc = make_psm_system(P.dim), {}
+    for i in range(P.dim):
+        for j in range(P.dim):
+            _add_dz_part(system, acc, P.component(i, j), (i, j), deg_max)
+    return system, make_psm_table(system, P.dim), _poly(system, acc)
 
 
 def psm_delta(system: System, n: int) -> Derivation:
@@ -234,15 +216,10 @@ def trivector_functional(P: PoissonBivector, system: System, deg_max: int) -> Di
     Schouten obstruction T = [P,P]/2, keeping the terms of T of polynomial
     degree <= deg_max - 2; the independent comparison target for non-Jacobi
     controls."""
-    n = P.dim
-    phis = [_superfield(system, "phi", "phiw", i) for i in range(n)]
-    etas = [_superfield(system, "eta", "etaw", i) for i in range(n)]
     acc: dict = {}
-    for (i, j, k), poly in P.jacobi_obstruction().items():
-        piece = _eval_poly(system, poly, phis, deg_max + 1)
-        piece = piece.mul(etas[i], max_degree=deg_max + 2).mul(etas[j], max_degree=deg_max + 2)
-        piece._mul_into(acc, etas[k], max_degree=deg_max + 2)
-    return _dz_component(_poly(system, acc))
+    for ijk, poly in P.jacobi_obstruction().items():
+        _add_dz_part(system, acc, poly, ijk, deg_max)
+    return _poly(system, acc)
 
 
 # -- stock bivectors --------------------------------------------------------

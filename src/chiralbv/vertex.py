@@ -52,8 +52,8 @@ BaseKey = Tuple[str, int]
 PoleMap = Dict[Tuple[int, int], Fraction]  # (pole order, lam power) -> coefficient
 Group = Tuple[DerivedGenerator, int, int]  # a factor, its multiplicity in a word, its parity
 Classes = Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], PoleMap]  # used counts -> pole map
-Term = Tuple[Word, int, Fraction, int, set, set]  # see `_split_terms`
-WickTerms = Tuple[Tuple[int, Tuple[Tuple[TermKey, Fraction], ...]], ...]  # see `_wick_terms`
+Term = Tuple[Word, int, Tuple[int, int], int, set, set]  # see `_split_terms`
+WickTerms = Tuple[Tuple[int, int, Tuple[Tuple[TermKey, int], ...]], ...]  # (n, den, numerators): `_wick_terms`
 
 
 class ContractionTable:
@@ -299,14 +299,14 @@ def _matching_classes(tbl: ContractionTable, gA: List[Group], gB: List[Group]) -
 
 
 def _split_terms(p: DiffPoly, tbl: ContractionTable) -> List[Term]:
-    """(word, lam, coefficient, parity, base generators, the base generators
-    they contract with) for each term of p."""
+    """(word, lam, (coefficient numerator, denominator), parity, base
+    generators, the base generators they contract with) for each term of p."""
     parity, partners = p.system.parity, tbl._partners
     out = []
     for (word, lam), c in p._terms.items():
         bases = {g[:2] for g in word}
         reach = set().union(*(partners.get(b, ()) for b in bases))
-        out.append((word, lam, c, sum(map(parity, word)) % 2, bases, reach))
+        out.append((word, lam, (c.numerator, c.denominator), sum(map(parity, word)) % 2, bases, reach))
     return out
 
 
@@ -326,22 +326,49 @@ def _pairs(termsA: List[Term], termsB: Optional[List[Term]] = None, ends: Option
     return ((tA, tB, w) for tA, tB, w in pairs if w and not tA[5].isdisjoint(tB[4]))
 
 
+class _WickSum:
+    """Scaled Wick entries summed per bucket (a pole order or a z-power) in
+    integer numerators over one common denominator.  Keys keep first-seen
+    order, and `polys` builds one Fraction per nonzero sum."""
+
+    def __init__(self):
+        self.den, self.buckets = 1, {}
+
+    def add(self, bucket: int, nums: Tuple[Tuple[TermKey, int], ...], num: int, den: int) -> None:
+        """buckets[bucket] += (num / den) * nums."""
+        if self.den % den:
+            grow = den // math.gcd(self.den, den)
+            self.den *= grow
+            for acc in self.buckets.values():
+                for key in acc:
+                    acc[key] *= grow
+        f, acc = num * (self.den // den), self.buckets.setdefault(bucket, {})
+        for key, c in nums:
+            old = acc.get(key)
+            acc[key] = f * c if old is None else old + f * c
+
+    def polys(self, sys_: System) -> Dict[int, DiffPoly]:
+        den = self.den
+        return {b: DiffPoly(sys_, {k: Fraction(c, den) for k, c in t.items() if c}) for b, t in self.buckets.items()}
+
+
 def _product_sum(sys_: System, tbl: ContractionTable, n: int, pairs) -> DiffPoly:
     """Sum of weight * tA_(n) tB over the (tA, tB, weight) of `_pairs`."""
-    acc: Dict[TermKey, Fraction] = {}
+    acc = _WickSum()
     for tA, tB, w in pairs:
-        for _, terms in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], n, n):
-            _add_scaled(acc, terms, w * tA[2] * tB[2])
-    return _poly(sys_, acc)
+        (a, b), (c, d) = tA[2], tB[2]
+        for _, den, nums in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], n, n):
+            acc.add(n, nums, w * a * c, b * d * den)
+    return acc.polys(sys_).get(n, sys_.zero())
 
 
 @lru_cache(maxsize=8192)
 def _shared(x):
-    """The first value seen that equals x: a table, a term key or a coefficient.
+    """The first value seen that equals x: a table or a term key.
 
     The Wick cache stores these, so it keeps one table (with its system and
     pole powers) alive per declaration, not one per caller, and entries
-    that produce equal term keys and coefficients store them once.
+    that produce equal term keys store them once.
     """
     return x
 
@@ -354,7 +381,7 @@ def _cached_wick_terms(
     lam-power and n-range.
 
     The value holds no operand coefficient, so every term pair with these
-    words shares it, and callers scale it by cA * cB as they add it up.
+    words shares it, and callers add it up scaled by cA * cB (`_WickSum`).
     The bound sits well above the keys a stream of interactions of a few
     dimensions needs, since those share their monomial basis (about 1,100
     for the psm-jacobi benchmark); an LRU smaller than a cyclic working set
@@ -371,12 +398,13 @@ def _wick_terms(
     None), of the OPE of the canonical monomials wordA and wordB with unit
     coefficients and lam-powers summing to lam.
 
-    Returns (n, C_n) pairs, each C_n as (term key, coefficient) pairs that
-    may hold zero coefficients: immutable, since the cache hands the value
-    to every caller.  Canonical words keep identical factors adjacent, so
-    they split into groups of repeated factors; one Taylor re-expansion of
-    the surviving z-side factors at w serves each class of matchings
-    between the groups (see `_matching_classes`).
+    Returns (n, den, numerators) triples: C_n as (term key, int numerator)
+    pairs over den, the least common denominator of its coefficients, zero
+    numerators kept.  Immutable, since the cache hands the value to every
+    caller.  Canonical words keep identical factors adjacent, so they split
+    into groups of repeated factors; one Taylor re-expansion of the
+    surviving z-side factors at w serves each class of matchings between
+    the groups (see `_matching_classes`).
     """
     parity = tbl.system.parity
     gA, gB = ([(g, len(list(run)), parity(g)) for g, run in groupby(word)] for word in (wordA, wordB))
@@ -404,10 +432,10 @@ def _wick_terms(
                 val = c if scale == 1 else c * scale
                 old = terms.get(key)
                 terms[key] = val if old is None else old + val
-    # class enumeration runs in int arithmetic where it can; callers get Fractions
-    return tuple(
-        (n, tuple((_shared(key), _shared(Fraction(c))) for key, c in terms.items())) for n, terms in out.items()
-    )
+    # class enumeration runs in int arithmetic where it can: c is an int or a Fraction
+    lcd = {n: math.lcm(*(c.denominator for c in terms.values())) for n, terms in out.items()}
+    return tuple((n, d, tuple((_shared(key), c.numerator * (d // c.denominator)) for key, c in out[n].items()))
+                 for n, d in lcd.items())
 
 
 def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) -> Dict[int, DiffPoly]:
@@ -424,8 +452,8 @@ def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) ->
     tbl = _shared(tbl)
     (((wordA, lamA), cA),), (((wordB, lamB), cB),) = A._terms.items(), B._terms.items()
     out = {
-        n: _poly(A.system, {key: c * cA * cB for key, c in terms})
-        for n, terms in _cached_wick_terms(tbl, wordA, wordB, lamA + lamB, n_min, None)
+        n: _poly(A.system, {key: c * Fraction(cA * cB, den) for key, c in nums})
+        for n, den, nums in _cached_wick_terms(tbl, wordA, wordB, lamA + lamB, n_min, None)
     }
     return {n: p for n, p in out.items() if not p.is_zero()}
 
@@ -521,18 +549,17 @@ def mode_bracket(X: ModeElement, Y: ModeElement, tbl: ContractionTable) -> ModeE
     """
     tbl.check_operands(X, Y)
     tbl = _shared(tbl)
-    sys_ = X.system
-    acc: Dict[int, Dict[TermKey, Fraction]] = {}
+    acc = _WickSum()
     termsY = {n: _split_terms(Bn, tbl) for n, Bn in Y.parts.items()}
     for m, Am in X.parts.items():
         j_max = m if m >= 0 else None
         termsA = _split_terms(Am, tbl)
         for n, termsB in termsY.items():
             for tA, tB, _ in _pairs(termsA, termsB):
-                cAB = tA[2] * tB[2]
-                for j, Cj in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], 0, j_max):
-                    _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j) * cAB)
-    return ModeElement(sys_, {k: _poly(sys_, terms) for k, terms in acc.items()})
+                (a, b), (c, d) = tA[2], tB[2]
+                for j, den, Cj in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], 0, j_max):
+                    acc.add(m + n - j, Cj, _gen_binom(m, j) * a * c, b * d * den)
+    return ModeElement(X.system, acc.polys(X.system))
 
 
 def bracket_zero_modes(A: DiffPoly, B: DiffPoly, tbl: ContractionTable) -> ModeElement:

@@ -192,7 +192,7 @@ def _dense_counterterm_oracle(system, residual):
                 profile = tuple(sorted(rest + [("b", dg.index + 1, dg.dt)]))
                 add((w, lam) for w in _enumerate_slice(system, profile, total_dz - 1))
     if not candidates:
-        return None if not residual.is_zero() else system.zero()
+        return None if nf_vec(residual) else system.zero()
     target = {k: -v for k, v in nf_vec(residual).items()}
     rows = [nf_vec(delta(c)) for c in candidates]
     keys = sorted({k for row in rows for k in row} | set(target), key=lambda k: (str(k[0]), k[1]))
@@ -348,3 +348,15 @@ def test_counterterm_matches_former_dense_solve():
     for tmax, wmax in ((3, 3), (4, 2)):
         rep = bcov_mc_report(tmax, wmax)
         assert rep.counterterm.to_obj() == _dense_counterterm_oracle(rep.raw_residual.system, rep.raw_residual).to_obj()
+
+
+def test_counterterm_of_a_total_derivative_is_zero():
+    """A nonzero residual whose normal form is zero, such as Dz1b0, gives no
+    candidate and is solved by j = 0."""
+    from chiralbv.bcov import _solve_central_counterterm
+
+    system, _ = make_bcov(3)
+    residual = system.monomial([system.gen("b", 0, dz=1)])
+    assert not residual.is_zero()
+    assert _solve_central_counterterm(system, residual) == system.zero()
+    assert _dense_counterterm_oracle(system, residual) == system.zero()

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from chiralbv.algebra import DiffPoly, _add_scaled, _poly
 from chiralbv.psm import (
     PoissonBivector,
     build_psm,
@@ -150,3 +152,100 @@ def test_residual_is_obstruction_of_carried_bivector():
             oracle = mode_normal_form(ModeElement.zero_mode(tri)).scale(Fraction(4))
             assert (residual - oracle).is_zero(), (pert, D)
             assert residual.is_zero() == carried.is_jacobi(), (pert, D)
+
+
+# -- the former superfield builder, kept as an oracle for the Leibniz rule -------
+
+
+def _superfield(system, zero, one, i):
+    # component + dz * dz-component, with dz an explicit odd generator
+    return system.monomial([system.gen(zero, i)]) + system.monomial([system.gen("dz", 0), system.gen(one, i)])
+
+
+def _eval_poly(system, poly, fields, deg_max):
+    acc = {}
+    for e, c in poly.items():
+        if sum(e) + 2 > deg_max:
+            continue
+        term = system.one(coef=c)
+        for i, p in enumerate(e):
+            for _ in range(p):
+                term = term.mul(fields[i], max_degree=deg_max + 1)
+        _add_scaled(acc, term._terms)
+    return _poly(system, acc)
+
+
+def _dz_component(p):
+    """Coefficient of the odd symbol dz, extracted from the left."""
+    sys_ = p.system
+    terms = {}
+    for (word, lam), c in p._terms.items():
+        pos = [i for i, dg in enumerate(word) if dg.name == "dz"]
+        if len(pos) != 1:
+            continue
+        i = pos[0]
+        before = sum(sys_.parity(g) for g in word[:i])
+        terms[(word[:i] + word[i + 1 :], lam)] = -c if before % 2 else c
+    return DiffPoly(sys_, terms)
+
+
+def _superfield_interaction(P, system, deg_max):
+    """The former build_psm interaction: superfield products cut at deg_max + 1 factors."""
+    phis = [_superfield(system, "phi", "phiw", i) for i in range(P.dim)]
+    etas = [_superfield(system, "eta", "etaw", i) for i in range(P.dim)]
+    acc = {}
+    for i in range(P.dim):
+        for j in range(P.dim):
+            poly = P.component(i, j)
+            if poly:
+                piece = _eval_poly(system, poly, phis, deg_max).mul(etas[i], max_degree=deg_max + 1)
+                piece._mul_into(acc, etas[j], max_degree=deg_max + 1)
+    return _dz_component(_poly(system, acc))
+
+
+def _superfield_trivector(P, system, deg_max):
+    """The former trivector_functional."""
+    phis = [_superfield(system, "phi", "phiw", i) for i in range(P.dim)]
+    etas = [_superfield(system, "eta", "etaw", i) for i in range(P.dim)]
+    acc = {}
+    for (i, j, k), poly in P.jacobi_obstruction().items():
+        piece = _eval_poly(system, poly, phis, deg_max + 1)
+        piece = piece.mul(etas[i], max_degree=deg_max + 2).mul(etas[j], max_degree=deg_max + 2)
+        piece._mul_into(acc, etas[k], max_degree=deg_max + 2)
+    return _dz_component(_poly(system, acc))
+
+
+def _log_canonical(rng, dim, linear):
+    """P^{ij} = q_ij x_i x_j (Poisson for every q), with one seeded linear term if asked."""
+    entries = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = tuple((k == i) + (k == j) for k in range(dim))
+            entries[(i, j)] = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))}
+    if linear:
+        i, j = sorted(rng.sample(range(dim), 2))
+        entries[(i, j)][tuple(int(m == rng.randrange(dim)) for m in range(dim))] = Fraction(rng.randint(1, 9))
+    return PoissonBivector(dim, entries)
+
+
+def test_leibniz_builder_matches_superfield_oracle():
+    """build_psm and trivector_functional equal the superfield products in
+    value, and the residual built on either interaction is the same, term
+    for term and in order."""
+    rng = random.Random(101)
+    bivectors = [_log_canonical(rng, dim, linear) for dim in (3, 4, 5) for linear in (False, True)]
+    built = nonzero = 0
+    for P in bivectors + [so3_bivector(), non_jacobi_bivector()]:
+        for D in (3, 4, 5, 6):
+            system, tbl, I = build_psm(P, D)
+            oracle = _superfield_interaction(P, system, D)
+            assert I == oracle, (P.entries, D)
+            built += not I.is_zero()
+            for carried, deg in ((P, D), (P.truncated(D - 2), 2 * D)):
+                assert trivector_functional(carried, system, deg) == _superfield_trivector(carried, system, deg)
+            got = psm_mc_check(P, D, built=(system, tbl, I))
+            expect = psm_mc_check(P, D, built=(system, tbl, oracle))
+            assert list(got.parts) == list(expect.parts)
+            assert all(list(got.parts[k]._terms.items()) == list(expect.parts[k]._terms.items()) for k in got.parts)
+            nonzero += not got.is_zero()
+    assert built > 20 and nonzero > 10

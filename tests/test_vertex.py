@@ -418,7 +418,7 @@ def test_import_leaves_scipy_out():
 
     src = str(Path(chiralbv.__file__).resolve().parent.parent)
     code = (
-        "import sys, chiralbv, chiralbv.cli; assert 'scipy' not in sys.modules; "
+        "import sys, chiralbv, chiralbv.cli; assert 'scipy' not in sys.modules and 'numpy' not in sys.modules; "
         "from chiralbv import ordered_integral; assert 'scipy' in sys.modules"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -437,8 +437,8 @@ def _nth_product_all_pairs(A, n, B, tbl):
     acc = {}
     for (wA, lA), cA in A._terms.items():
         for (wB, lB), cB in B._terms.items():
-            for _, terms in _wick_terms(tbl, wA, wB, lA + lB, n, n):
-                _add_scaled(acc, terms, cA * cB)
+            for _, den, terms in _wick_terms(tbl, wA, wB, lA + lB, n, n):
+                _add_scaled(acc, terms, cA * cB / den)
     return _poly(A.system, acc)
 
 
@@ -453,8 +453,8 @@ def _mode_bracket_all_pairs(X, Y, tbl):
         for n, Bn in Y.parts.items():
             for (wA, lA), cA in Am._terms.items():
                 for (wB, lB), cB in Bn._terms.items():
-                    for j, Cj in _wick_terms(tbl, wA, wB, lA + lB, 0, j_max):
-                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j) * cA * cB)
+                    for j, den, Cj in _wick_terms(tbl, wA, wB, lA + lB, 0, j_max):
+                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j) * cA * cB / den)
     return ModeElement(X.system, {k: _poly(X.system, t) for k, t in acc.items()})
 
 
@@ -761,3 +761,68 @@ def test_wick_cache_shared_across_threads():
     for t, got in results.items():
         for k, X in enumerate(got):
             assert _same_modes(X, serial[(k + t) % len(jobs)]), (t, k)
+
+
+def _wick_cases():
+    """Monomial pairs on the Heisenberg W-generators, the so3 PSM interaction,
+    the mixed system and a table with a fractional pole coefficient."""
+    from chiralbv.correspondence import w_generator
+    from chiralbv.psm import build_psm, so3_bivector
+
+    hsys, htbl = make_heisenberg(1)
+    W = [m for k in range(1, 6) for m in _monomials(w_generator(k, hsys))]
+    cases = [(A, B, htbl) for A in W for B in W]
+    _, ptbl, I = build_psm(so3_bivector(), 5)
+    cases += [(A, B, ptbl) for A in _monomials(I) for B in _monomials(I)]
+    rng = random.Random(83)
+    for sys_, tbl in (make_mixed_system(), _multi_pole_table(
+            {1: Scalar.of(2), 2: Scalar(Fraction(1, 3), 1)}, {1: Scalar.of(1, 1), 2: Scalar.of(5)}, "listed")):
+        for _ in range(100):
+            A, B = (random_diffpoly(rng, sys_, max_terms=1, max_degree=4, max_dz=2) for _ in "AB")
+            if A.num_terms() == 1 and B.num_terms() == 1:
+                cases.append((A, B, tbl))
+    return cases
+
+
+def test_wick_entries_hold_int_numerators_over_least_denominator():
+    """Each cached entry (n, den, numerators) holds ints over the least common
+    denominator of its coefficients."""
+    from chiralbv import vertex
+
+    fractional = 0
+    for A, B, tbl in _wick_cases():
+        (((wA, lA), _),), (((wB, lB), _),) = A._terms.items(), B._terms.items()
+        for n_min, n_max in ((0, None), (1, 1)):
+            for n, den, nums in vertex._cached_wick_terms(vertex._shared(tbl), wA, wB, lA + lB, n_min, n_max):
+                assert all(type(c) is int for _, c in nums)
+                assert den == math.lcm(*(Fraction(c, den).denominator for _, c in nums)), (A, B, n)
+                fractional += den > 1
+    assert fractional > 50
+
+
+def test_products_return_fraction_coefficients():
+    """Integer sums inside, Fractions out, integral values included."""
+    from chiralbv.correspondence import w_generator
+    from chiralbv.psm import build_psm, non_jacobi_bivector, psm_delta
+    from chiralbv.vertex import mc_residual
+
+    def fractions(*polys):
+        return all(type(c) is Fraction for p in polys for c in p._terms.values())
+
+    seen = 0
+    for A, B, tbl in _wick_cases()[::7]:
+        assert fractions(*wick_ope(A, B, tbl).values())
+        seen += bool(wick_ope(A, B, tbl))
+    hsys, htbl = make_heisenberg(1)
+    W = [w_generator(k, hsys) for k in range(1, 5)]
+    integral = 0
+    for A in W:
+        for B in W:
+            assert all(fractions(nth_product(A, n, B, htbl)) for n in (0, 1, 2))
+            br = mode_bracket(ModeElement(hsys, {1: A, -1: A.dz()}), ModeElement(hsys, {0: B, 2: B}), htbl)
+            assert fractions(*br.parts.values())
+            integral += sum(c.denominator == 1 for p in br.parts.values() for c in p._terms.values())
+    sys_, tbl, I = build_psm(non_jacobi_bivector(), 4)
+    residual = mc_residual(I, psm_delta(sys_, 3), tbl)
+    assert not residual.is_zero() and fractions(*residual.parts.values())
+    assert seen > 50 and integral > 50
