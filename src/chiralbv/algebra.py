@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "BudgetError",
@@ -58,8 +57,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(NamedTuple):
     """An exact rational times an integer power of the central parameter lam.
 
     Multiplication adds lam-powers; addition is defined only between equal
@@ -113,8 +111,7 @@ class Scalar:
         return f"{self.coef}*{lam}"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A declared base generator of a system.
 
     ``parity`` is 0 (even) or 1 (odd) and must equal ``deg`` mod 2.
@@ -293,12 +290,9 @@ def _sort_word(system: System, word: Word) -> Optional[Tuple[Word, int]]:
     return tuple([e[2] for e in w]), sign
 
 
-def _add_scaled(
-    acc: Dict[TermKey, Fraction], terms: Union[Dict[TermKey, Fraction], Iterable[Tuple[TermKey, Fraction]]], coef=1
-) -> None:
-    """acc += coef * terms, given as a dict or as (key, coefficient) pairs;
-    zero entries stay until ``_poly`` drops them."""
-    for key, c in terms.items() if isinstance(terms, dict) else terms:
+def _add_scaled(acc: Dict[TermKey, Fraction], terms: Dict[TermKey, Fraction], coef=1) -> None:
+    """acc += coef * terms; zero entries stay until ``_poly`` drops them."""
+    for key, c in terms.items():
         if coef != 1:
             c = coef * c
         old = acc.get(key)
@@ -307,6 +301,42 @@ def _add_scaled(
 
 def _poly(system: System, terms: Dict[TermKey, Fraction]) -> "DiffPoly":
     return DiffPoly(system, {key: c for key, c in terms.items() if c})
+
+
+def _integral(terms: Dict[TermKey, Fraction]) -> Tuple[Dict[TermKey, int], int]:
+    """terms as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
+
+
+class _IntSum:
+    """Exact sums per bucket in integer numerators over one common denominator,
+    which grows (rescaling the sums so far) as terms arrive.  Keys keep
+    first-seen order, and `poly` builds one Fraction per nonzero sum."""
+
+    def __init__(self):
+        self.den, self.buckets = 1, {}
+
+    def target(self, bucket, den: int) -> Tuple[Dict[TermKey, int], int]:
+        """The bucket's numerators, and the factor that turns c / den into one."""
+        if self.den % den:
+            grow = den // math.gcd(self.den, den)
+            self.den *= grow
+            for acc in self.buckets.values():
+                for key in acc:
+                    acc[key] *= grow
+        return self.buckets.setdefault(bucket, {}), self.den // den
+
+    def add(self, bucket, nums: Iterable[Tuple[TermKey, int]], num: int, den: int) -> None:
+        """buckets[bucket] += (num / den) * nums, given as (key, int) pairs."""
+        acc, f = self.target(bucket, den)
+        f *= num
+        for key, c in nums:
+            old = acc.get(key)
+            acc[key] = f * c if old is None else old + f * c
+
+    def poly(self, system: System, bucket) -> "DiffPoly":
+        return DiffPoly(system, {k: Fraction(c, self.den) for k, c in self.buckets.get(bucket, {}).items() if c})
 
 
 def _group_terms(p: "DiffPoly", word_key: Callable[[Word], int]) -> Dict[int, "DiffPoly"]:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from .algebra import (
     DerivedGenerator,
@@ -136,8 +135,7 @@ def restore_lambda_powers(p: DiffPoly) -> DiffPoly:
     return DiffPoly(p.system, terms)
 
 
-@dataclass
-class ClassicalLimitReport:
+class ClassicalLimitReport(NamedTuple):
     tmax: int
     deg_max: int
     scalar: Optional[Fraction]
@@ -206,8 +204,7 @@ def stationary_commutator(j: int, k: int) -> ModeElement:
     return mode_normal_form(br)
 
 
-@dataclass
-class QuantumMCReport:
+class QuantumMCReport(NamedTuple):
     tmax: int
     wmax: int
     raw_residual: DiffPoly

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .algebra import BudgetError, DerivedGenerator, DiffPoly, Scalar, System, Word, _add_scaled, _group_terms, _poly
 from .moyal import star_bracket
@@ -90,8 +89,7 @@ def w_generator(k: int, system: System) -> DiffPoly:
     return system.poly(terms)
 
 
-@dataclass(frozen=True)
-class BackgroundSubstitution:
+class BackgroundSubstitution(NamedTuple):
     """Background series truncated at generator index kmax (series start at t^1)."""
 
     kmax: int

@@ -16,10 +16,11 @@ the graded form of f *_h g = g *_{-h} f.  Every level is odd, so the pieces
 of (i, j) and (j, i) cancel for even s and agree for odd s: the solver adds
 the odd-s pieces of pairs i <= j only, twice off the diagonal.
 
-``star`` sums in integers: each factor as numerators over the lcm of its
-denominators, each piece's 1/(2^s k1! k2!) as an integer over 2^tmax tmax!,
-and one Fraction per output key.  ``delta_inv`` checks every monomial's
-N-eigenvector property on the unit monomial (N is linear), in integers.
+``star``, the solver's levels and ``delta_inv`` sum in integers through
+``algebra._IntSum``: each factor as numerators over the lcm of its
+denominators, each piece's 1/(2^s k1! k2!) folded into one growing common
+denominator, and one Fraction per output key.  ``delta_inv`` checks every
+monomial's N-eigenvector property on the unit monomial (N is linear).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .algebra import (
     TermKey,
     _add_scaled,
     _group_terms,
+    _integral,
+    _IntSum,
     _poly,
 )
 
@@ -94,22 +97,13 @@ def _deriv(chain: Chain, k_t: int, k_z: int) -> DiffPoly:
     return d
 
 
-def _add_star_piece(acc: Dict[TermKey, Fraction], f: Chain, g: Chain, s: int, weight: int = 1) -> None:
-    """acc += weight * the order-s part of F*G, which raises the T-level by s.
-
-    A weight divisible by 2^s s! gives integer factors, so integer chains
-    accumulate in ints.
-    """
+def _add_star_piece(acc: _IntSum, f: Chain, g: Chain, s: int, num: int, den: int) -> None:
+    """acc += (num / den) * the order-s part of F*G, which raises the T-level
+    by s, for integer chains f and g."""
     for k1 in range(s + 1):
         k2 = s - k1
-        coef = Fraction((-1) ** k2 * weight, 2**s * math.factorial(k1) * math.factorial(k2))
-        _deriv(f, k1, k2)._mul_into(acc, _deriv(g, k2, k1), coef.numerator if coef.denominator == 1 else coef)
-
-
-def _integral(p: DiffPoly) -> Tuple[DiffPoly, int]:
-    """p as integer numerators over the lcm of its coefficient denominators."""
-    den = math.lcm(*(c.denominator for c in p._terms.values()))
-    return DiffPoly(p.system, {key: c.numerator * (den // c.denominator) for key, c in p._terms.items()}), den
+        nums, scale = acc.target(0, den * 2**s * math.factorial(k1) * math.factorial(k2))
+        _deriv(f, k1, k2)._mul_into(nums, _deriv(g, k2, k1), (-1) ** k2 * num * scale)
 
 
 def star(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
@@ -123,23 +117,20 @@ def star(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
     nothing below the budget and are skipped, which is exact for
     consumers that only read T-levels <= tmax.
     """
-    (F_int, den_f), (G_int, den_g) = _integral(F), _integral(G)
-    levels_f = split_t_levels(F_int)
-    levels_g = split_t_levels(G_int)
+    (F_int, den_f), (G_int, den_g) = _integral(F._terms), _integral(G._terms)
+    levels_f = split_t_levels(DiffPoly(F.system, F_int))
+    levels_g = split_t_levels(DiffPoly(G.system, G_int))
     if strict and levels_f and levels_g and min(levels_f) + min(levels_g) > tmax:
         raise ValueError("tmax is below the T-levels already present")
     chains_f = {tf: {(0, 0): Fc} for tf, Fc in levels_f.items()}
     chains_g = {tg: {(0, 0): Gc} for tg, Gc in levels_g.items()}
-    # every piece's 1/(2^s k1! k2!) is an integer over 2^tmax tmax!
-    scale = 2**tmax * math.factorial(tmax) if tmax > 0 else 1
-    acc: Dict[TermKey, int] = {}
+    acc = _IntSum()
     for tf, f in chains_f.items():
         for tg, g in chains_g.items():
             # pairs with tf + tg > tmax only produce T-levels above tmax
             for s in range(tmax - tf - tg + 1):
-                _add_star_piece(acc, f, g, s, scale)
-    den = den_f * den_g * scale
-    return DiffPoly(F.system, {key: Fraction(v, den) for key, v in acc.items() if v})
+                _add_star_piece(acc, f, g, s, 1, den_f * den_g)
+    return acc.poly(F.system, 0)
 
 
 def star_bracket(F: DiffPoly, G: DiffPoly, tmax: int, strict: bool = True) -> DiffPoly:
@@ -198,7 +189,7 @@ def delta_inv(p: DiffPoly) -> DiffPoly:
     sys_ = p.system
     d = delta_b(sys_)
     ds = delta_star(sys_)
-    acc: Dict[TermKey, Fraction] = {}
+    acc = _IntSum()
     for key, c in p._terms.items():
         # N is linear and c != 0: check the unit monomial, in integers
         unit = {key: 1}
@@ -209,9 +200,9 @@ def delta_inv(p: DiffPoly) -> DiffPoly:
         if {k: v for k, v in n_unit.items() if v} != ({key: n} if n else {}):
             raise AssertionError(f"monomial is not an N-eigenvector: {key[0]}")
         if n:
-            f = c / n
-            _add_scaled(acc, ((k, f * v) for k, v in ds_unit.items()))
-    return _poly(sys_, acc)
+            nums, scale = acc.target(0, c.denominator * n)
+            _add_scaled(nums, ds_unit, c.numerator * scale)
+    return acc.poly(sys_, 0)
 
 
 def closed_form_j0(tmax: int, system: Optional[System] = None) -> DiffPoly:
@@ -270,18 +261,18 @@ def fedosov_solve(tmax: int, system: Optional[System] = None) -> FedosovSolution
         raise ValueError("tmax must be >= 0")
     sys_ = system if system is not None else make_b_system()
     d = delta_b(sys_)
-    levels = [sys_.monomial([et(sys_)])]
-    chains = [{(0, 0): levels[0]}]
+    jk = sys_.monomial([et(sys_)])  # J_(0)
+    levels, chains, dens = [], [], []  # chains[k] holds J_(k) in integer numerators over dens[k]
     residual_zero: Dict[int, bool] = {}
     for k in range(tmax + 1):
-        acc: Dict[TermKey, Fraction] = {}
+        acc = _IntSum()  # -(J * J)|_k, so far without the pairs with J_(k)
         # by parity, (i, j) and (j, i) give twice the odd-s piece of (i, j)
         for i in range(k):
             for j in range(i, k - i):
                 if (k - i - j) % 2:
-                    _add_star_piece(acc, chains[i], chains[j], k - i - j, 2 if i < j else 1)
+                    _add_star_piece(acc, chains[i], chains[j], k - i - j, -2 if i < j else -1, dens[i] * dens[j])
         if k:
-            rhs = _poly(sys_, {key: -c for key, c in acc.items()})
+            rhs = acc.poly(sys_, 0)
             g = deg_cw(rhs)
             if not rhs.is_zero() and g != (2, Fraction(2)):
                 raise AssertionError(f"bracket level {k} is not homogeneous of (deg,cw)=(2,2): {g}")
@@ -291,9 +282,12 @@ def fedosov_solve(tmax: int, system: Optional[System] = None) -> FedosovSolution
             g = deg_cw(jk)
             if not jk.is_zero() and g != (1, Fraction(1)):
                 raise AssertionError(f"level {k} is not homogeneous of (deg,cw)=(1,1): {g}")
-            levels.append(jk)
-            chains.append({(0, 0): jk})
+        jk_int, den = _integral(jk._terms)
+        levels.append(jk)
+        chains.append({(0, 0): DiffPoly(sys_, jk_int)})
+        dens.append(den)
         # the pairs with J_(k), (k, 0) and (0, k) at s = 0, cancel by parity
-        _add_scaled(acc, d(levels[k])._terms)
-        residual_zero[k] = not any(acc.values())
+        nums, scale = acc.target(0, den)
+        _add_scaled(nums, d._apply(jk_int), -scale)
+        residual_zero[k] = not any(nums.values())
     return FedosovSolution(sys_, levels, residual_zero)

@@ -9,9 +9,8 @@ simple-pole pair so that Koszul signs are exercised through contractions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     DiffPoly,
@@ -37,8 +36,7 @@ from .psm import make_psm_system, make_psm_table, psm_delta
 __all__ = ["SuiteResult", "run_suite", "all_suites", "make_mixed_system"]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     failures: int

@@ -17,7 +17,6 @@ identically by form degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -50,7 +49,6 @@ def _poly_diff(a: PolyDict, i: int) -> PolyDict:
     return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]}
 
 
-@dataclass
 class PoissonBivector:
     """Polynomial bivector P = sum P^{ij}(x) d_i wedge d_j with P^{ij} = -P^{ji}.
 
@@ -59,22 +57,20 @@ class PoissonBivector:
     ValueError rather than being dropped or read differently.
     """
 
-    dim: int
-    entries: Dict[Tuple[int, int], PolyDict] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+    def __init__(self, dim: int, entries: Optional[Dict[Tuple[int, int], PolyDict]] = None):
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        self.dim = dim
         clean: Dict[Tuple[int, int], PolyDict] = {}
-        for (i, j), poly in self.entries.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+        for (i, j), poly in (entries or {}).items():
+            if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError("coordinate index out of range")
             if i > j:
                 raise ValueError(f"entry ({i}, {j}) has i > j: give P^{{{j}{i}}} = -P^{{{i}{j}}} instead")
             if i == j and any(c != 0 for c in poly.values()):
                 raise ValueError("diagonal entries must vanish")
             for e in poly:
-                if len(e) != self.dim:
+                if len(e) != dim:
                     raise ValueError("exponent vector has wrong length")
                 if min(e) < 0:
                     raise ValueError(f"exponents must be nonnegative, got {list(e)}")

@@ -3,9 +3,9 @@
 E(k_0,...,k_m) = int_{0<=u_i<=u_0} prod_i u_i^{k_i} e^{-u_i} du integrates
 the radial variables of the two-vertex graph with one heat-kernel edge and
 m propagator edges.  The module is the only non-exact one in the package
-and is quarantined from the symbolic kernel: an adaptive-quadrature (or
-Gauss-Laguerre) float route is cross-checked against an exact-rational
-oracle built on the incomplete-gamma recursion
+and is quarantined from the symbolic kernel: its one float route,
+adaptive quadrature, is cross-checked against an exact-rational oracle
+built on the incomplete-gamma recursion
 
     int_0^u s^k e^{-s} ds = k! (1 - e^{-u} sum_{j<=k} u^j/j!).
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -36,24 +35,18 @@ MAX_M = 4
 MAX_K = 4
 
 
-@dataclass(frozen=True)
 class OrderedIntegralSpec:
     """m bounded variables with exponents (k_0, ..., k_m); k_0 belongs to
     the unbounded variable u_0."""
 
-    exponents: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) < 1:
+    def __init__(self, exponents: Tuple[int, ...]):
+        self.exponents, self.m = exponents, len(exponents) - 1
+        if self.m < 0:
             raise ValueError("need at least the u_0 exponent")
-        if any(k < 0 for k in self.exponents):
+        if any(k < 0 for k in exponents):
             raise ValueError("exponents must be nonnegative")
-        if self.m > MAX_M or any(k > MAX_K for k in self.exponents):
+        if self.m > MAX_M or any(k > MAX_K for k in exponents):
             raise ValueError(f"budget exceeded: m <= {MAX_M}, k_i <= {MAX_K}")
-
-    @property
-    def m(self) -> int:
-        return len(self.exponents) - 1
 
 
 def _lower_gamma(k: int, u: np.ndarray) -> np.ndarray:
@@ -61,35 +54,19 @@ def _lower_gamma(k: int, u: np.ndarray) -> np.ndarray:
     return special.gammainc(k + 1, u) * math.factorial(k)
 
 
-def ordered_integral(spec: OrderedIntegralSpec, method: str = "quad") -> Tuple[float, float]:
-    """Float value of E(k_0,...,k_m) with an absolute-error estimate.
-
-    method="quad": adaptive quadrature of the outer u_0-integral with the
-    inner integrals in closed form.  method="laguerre": Gauss-Laguerre
-    nodes on the exact exponential-polynomial expansion (error estimated
-    by node-count refinement).
-    """
+def ordered_integral(spec: OrderedIntegralSpec) -> Tuple[float, float]:
+    """Float value of E(k_0,...,k_m) with an absolute-error estimate, by
+    adaptive quadrature of the outer u_0-integral with the inner integrals
+    in closed form."""
     k0, rest = spec.exponents[0], spec.exponents[1:]
-    if method == "quad":
-        def integrand(u):
-            val = u**k0 * math.exp(-u)
-            for k in rest:
-                val *= _lower_gamma(k, u)
-            return val
 
-        val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val, err
-    if method == "laguerre":
-        results = []
-        for n_nodes in (40, 60):
-            acc = 0.0
-            for coef, a, c in _expanded_terms(spec):
-                # int_0^inf u^a e^{-c u} du via GL nodes after u -> v/c
-                x, w = np.polynomial.laguerre.laggauss(n_nodes)
-                acc += float(coef) * float(np.sum(w * (x / c) ** a)) / c
-            results.append(acc)
-        return results[-1], abs(results[-1] - results[0])
-    raise ValueError(f"unknown method {method!r}")
+    def integrand(u):
+        val = u**k0 * math.exp(-u)
+        for k in rest:
+            val *= _lower_gamma(k, u)
+        return val
+
+    return integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
 
 
 def _expanded_terms(spec: OrderedIntegralSpec) -> List[Tuple[Fraction, int, int]]:

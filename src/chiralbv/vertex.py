@@ -27,6 +27,8 @@ from .algebra import (
     TermKey,
     Word,
     _add_scaled,
+    _integral,
+    _IntSum,
     _json_int,
     _multisets,
     _poly,
@@ -326,40 +328,14 @@ def _pairs(termsA: List[Term], termsB: Optional[List[Term]] = None, ends: Option
     return ((tA, tB, w) for tA, tB, w in pairs if w and not tA[5].isdisjoint(tB[4]))
 
 
-class _WickSum:
-    """Scaled Wick entries summed per bucket (a pole order or a z-power) in
-    integer numerators over one common denominator.  Keys keep first-seen
-    order, and `polys` builds one Fraction per nonzero sum."""
-
-    def __init__(self):
-        self.den, self.buckets = 1, {}
-
-    def add(self, bucket: int, nums: Tuple[Tuple[TermKey, int], ...], num: int, den: int) -> None:
-        """buckets[bucket] += (num / den) * nums."""
-        if self.den % den:
-            grow = den // math.gcd(self.den, den)
-            self.den *= grow
-            for acc in self.buckets.values():
-                for key in acc:
-                    acc[key] *= grow
-        f, acc = num * (self.den // den), self.buckets.setdefault(bucket, {})
-        for key, c in nums:
-            old = acc.get(key)
-            acc[key] = f * c if old is None else old + f * c
-
-    def polys(self, sys_: System) -> Dict[int, DiffPoly]:
-        den = self.den
-        return {b: DiffPoly(sys_, {k: Fraction(c, den) for k, c in t.items() if c}) for b, t in self.buckets.items()}
-
-
 def _product_sum(sys_: System, tbl: ContractionTable, n: int, pairs) -> DiffPoly:
     """Sum of weight * tA_(n) tB over the (tA, tB, weight) of `_pairs`."""
-    acc = _WickSum()
+    acc = _IntSum()
     for tA, tB, w in pairs:
         (a, b), (c, d) = tA[2], tB[2]
         for _, den, nums in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], n, n):
             acc.add(n, nums, w * a * c, b * d * den)
-    return acc.polys(sys_).get(n, sys_.zero())
+    return acc.poly(sys_, n)
 
 
 @lru_cache(maxsize=8192)
@@ -381,7 +357,7 @@ def _cached_wick_terms(
     lam-power and n-range.
 
     The value holds no operand coefficient, so every term pair with these
-    words shares it, and callers add it up scaled by cA * cB (`_WickSum`).
+    words shares it, and callers add it up scaled by cA * cB (`algebra._IntSum`).
     The bound sits well above the keys a stream of interactions of a few
     dimensions needs, since those share their monomial basis (about 1,100
     for the psm-jacobi benchmark); an LRU smaller than a cyclic working set
@@ -433,9 +409,8 @@ def _wick_terms(
                 old = terms.get(key)
                 terms[key] = val if old is None else old + val
     # class enumeration runs in int arithmetic where it can: c is an int or a Fraction
-    lcd = {n: math.lcm(*(c.denominator for c in terms.values())) for n, terms in out.items()}
-    return tuple((n, d, tuple((_shared(key), c.numerator * (d // c.denominator)) for key, c in out[n].items()))
-                 for n, d in lcd.items())
+    ints = {n: _integral(terms) for n, terms in out.items()}
+    return tuple((n, d, tuple((_shared(key), c) for key, c in nums.items())) for n, (nums, d) in ints.items())
 
 
 def wick_ope(A: DiffPoly, B: DiffPoly, tbl: ContractionTable, n_min: int = 0) -> Dict[int, DiffPoly]:
@@ -549,7 +524,7 @@ def mode_bracket(X: ModeElement, Y: ModeElement, tbl: ContractionTable) -> ModeE
     """
     tbl.check_operands(X, Y)
     tbl = _shared(tbl)
-    acc = _WickSum()
+    acc = _IntSum()
     termsY = {n: _split_terms(Bn, tbl) for n, Bn in Y.parts.items()}
     for m, Am in X.parts.items():
         j_max = m if m >= 0 else None
@@ -559,7 +534,7 @@ def mode_bracket(X: ModeElement, Y: ModeElement, tbl: ContractionTable) -> ModeE
                 (a, b), (c, d) = tA[2], tB[2]
                 for j, den, Cj in _cached_wick_terms(tbl, tA[0], tB[0], tA[1] + tB[1], 0, j_max):
                     acc.add(m + n - j, Cj, _gen_binom(m, j) * a * c, b * d * den)
-    return ModeElement(X.system, acc.polys(X.system))
+    return ModeElement(X.system, {k: acc.poly(X.system, k) for k in acc.buckets})
 
 
 def bracket_zero_modes(A: DiffPoly, B: DiffPoly, tbl: ContractionTable) -> ModeElement:
@@ -573,7 +548,8 @@ def mode_normal_form(X: ModeElement) -> ModeElement:
     Processes z-powers from the top down: at each power the coefficient is
     split into T(C) + h by `ibp_decompose`; h stays, while T(C) z^k is
     replaced by -k C z^{k-1}.  Constants vanish at every power except -1,
-    where they are central and kept.  The result is empty iff X == 0 in
+    where they are central and kept, in lam order ahead of h, so every part
+    is in canonical term order.  The result is empty iff X == 0 in
     V[z,1/z]/im d.
     """
     sys_ = X.system
@@ -585,7 +561,7 @@ def mode_normal_form(X: ModeElement) -> ModeElement:
         out = result.setdefault(k, {})
         if p.constant_part():
             if k == -1:
-                _add_scaled(out, p.filter(lambda w, l: not w)._terms)
+                out.update(sorted((((), l), c) for l, c in p.constant_part().items()))
             p = p.filter(lambda w, l: bool(w))
         if p.is_zero():
             continue

@@ -11,6 +11,8 @@ from chiralbv.algebra import (
     Generator,
     Scalar,
     System,
+    _add_scaled,
+    _IntSum,
     canonicalize,
     euler_derivative,
     ibp_decompose,
@@ -39,6 +41,46 @@ def test_scalar_arithmetic():
 def test_scalar_json_roundtrip():
     s = Scalar.of(Fraction(-5, 7), -2)
     assert Scalar.from_obj(s.to_obj()) == s
+
+
+def test_records_are_immutable():
+    from chiralbv.correspondence import BackgroundSubstitution
+
+    for record, field in ((Scalar.of(1), "coef"), (Generator("b", 0, 0, 0, Fraction(1)), "cw"),
+                          (BackgroundSubstitution(3), "kmax")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+
+
+def test_int_sum_matches_fraction_sums(toy):
+    """Integer numerators over a denominator that grows as terms arrive sum
+    exactly as Fractions do, per bucket, with keys in first-seen order and
+    zero sums dropped; `add` and writes through `target` mix freely."""
+    b0, e1 = toy.gen("b", 0), toy.gen("eta", 1)
+    keys = [(w, lam) for w in ((b0,), (b0, b0), (b0, e1), (e1,)) for lam in range(2)]
+    rng = random.Random(13)
+    grown = zeros = 0
+    for _ in range(60):
+        acc, expect = _IntSum(), {}
+        for _ in range(rng.randint(1, 8)):
+            bucket, num, den = rng.randint(-1, 1), rng.randint(-2, 2), rng.choice([1, 2, 3, 4, 6, 9, 10, 35])
+            nums = [(key, rng.randint(-3, 3)) for key in rng.sample(keys, rng.randint(1, 4))]
+            had, old_den = any(acc.buckets.values()), acc.den
+            if rng.randint(0, 1):
+                acc.add(bucket, nums, num, den)
+            else:
+                target, scale = acc.target(bucket, den)
+                _add_scaled(target, dict(nums), num * scale)
+            grown += had and acc.den != old_den
+            for key, c in nums:
+                e = expect.setdefault(bucket, {})
+                e[key] = e.get(key, 0) + Fraction(num * c, den)
+        for bucket, e in expect.items():
+            got = acc.poly(toy, bucket)._terms
+            assert list(got.items()) == [(key, c) for key, c in e.items() if c]
+            assert all(type(c) is Fraction for c in got.values())
+            zeros += sum(not c for c in e.values())
+    assert grown > 30 and zeros > 30
 
 
 def test_canonicalize_even_odd_swap(toy):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiralbv.algebra import Derivation, DerivedGenerator, DiffPoly, _poly
+from chiralbv.algebra import Derivation, DerivedGenerator, DiffPoly, _integral, _IntSum
 from chiralbv.moyal import (
     closed_form_j0,
     delta_b,
@@ -301,9 +301,10 @@ def test_star_pieces_swap_by_parity(B):
     """B_s(G, F) = (-1)^{|F||G| + s} B_s(F, G) for the order-s piece B_s of the product."""
 
     def piece(F, G, s):
-        acc = {}
-        _add_star_piece(acc, {(0, 0): F}, {(0, 0): G}, s)
-        return _poly(B, acc)
+        acc = _IntSum()
+        (f, den_f), (g, den_g) = _integral(F._terms), _integral(G._terms)
+        _add_star_piece(acc, {(0, 0): DiffPoly(B, f)}, {(0, 0): DiffPoly(B, g)}, s, 1, den_f * den_g)
+        return acc.poly(B, 0)
 
     rng = random.Random(89)
     nonzero = {}

@@ -47,13 +47,6 @@ def test_quadrature_matches_oracle_within_budget():
             assert err <= 1e-8
 
 
-def test_laguerre_route_agrees():
-    for ks in [(0, 0), (2, 1), (3, 2, 1), (4, 4)]:
-        spec = OrderedIntegralSpec(ks)
-        val, err = ordered_integral(spec, method="laguerre")
-        assert abs(val - float(oracle_ordered_integral(spec))) <= 1e-9
-
-
 def test_budget_enforcement():
     with pytest.raises(ValueError):
         OrderedIntegralSpec((5, 0))

@@ -418,7 +418,9 @@ def test_import_leaves_scipy_out():
 
     src = str(Path(chiralbv.__file__).resolve().parent.parent)
     code = (
-        "import sys, chiralbv, chiralbv.cli; assert 'scipy' not in sys.modules and 'numpy' not in sys.modules; "
+        "import sys; before = set(sys.modules); import chiralbv, chiralbv.cli; "
+        "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules; "
+        "assert not {'dataclasses', 'inspect'} & (set(sys.modules) - before), 'record idiom pulls in dataclasses'; "
         "from chiralbv import ordered_integral; assert 'scipy' in sys.modules"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -438,7 +440,7 @@ def _nth_product_all_pairs(A, n, B, tbl):
     for (wA, lA), cA in A._terms.items():
         for (wB, lB), cB in B._terms.items():
             for _, den, terms in _wick_terms(tbl, wA, wB, lA + lB, n, n):
-                _add_scaled(acc, terms, cA * cB / den)
+                _add_scaled(acc, dict(terms), cA * cB / den)
     return _poly(A.system, acc)
 
 
@@ -454,7 +456,7 @@ def _mode_bracket_all_pairs(X, Y, tbl):
             for (wA, lA), cA in Am._terms.items():
                 for (wB, lB), cB in Bn._terms.items():
                     for j, den, Cj in _wick_terms(tbl, wA, wB, lA + lB, 0, j_max):
-                        _add_scaled(acc.setdefault(m + n - j, {}), Cj, _gen_binom(m, j) * cA * cB / den)
+                        _add_scaled(acc.setdefault(m + n - j, {}), dict(Cj), _gen_binom(m, j) * cA * cB / den)
     return ModeElement(X.system, {k: _poly(X.system, t) for k, t in acc.items()})
 
 
@@ -551,6 +553,19 @@ def test_normal_form_term_order_depends_only_on_value():
         assert all(_same_modes(nf, nfs[0]) for nf in nfs[1:])
         nonzero += nfs[0].part(0).num_terms() > 1
     assert nonzero > 20
+
+
+def test_central_constants_in_canonical_order():
+    """The z^-1 constants of a normal form list their lam-powers in canonical
+    order whatever the input order: the same value, the same terms in order."""
+    sys_, tbl = make_heisenberg(0)
+    b0 = sys_.gen("b", 0)
+    Y = ModeElement(sys_, {-1: sys_.monomial([b0])})
+    one, two = sys_.monomial([b0]), sys_.monomial([b0], coef=2, lam=1)
+    forms = [mode_normal_form(mode_bracket(ModeElement(sys_, {1: x}), Y, tbl)) for x in (one + two, two + one)]
+    assert forms[0].central_part() == {0: Fraction(1), 1: Fraction(2)}
+    assert all(list(nf.part(-1)._terms.items()) == [(((), 0), Fraction(1)), (((), 1), Fraction(2))]
+               for nf in forms)
 
 
 def test_pair_skip_matches_all_pairs():
