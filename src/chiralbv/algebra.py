@@ -676,11 +676,16 @@ def _insert_row(rows: list, vec: Dict, combo: Dict) -> None:
 
 @lru_cache(maxsize=1024)
 def _slice_reduction(signature, profile: Tuple[Tuple[str, int, int], ...], total_dz: int):
-    """Row-reduced image of T on a graded slice of the system declared by ``signature``.
+    """Image of T on a graded slice of the system declared by ``signature``,
+    as one integer entry per pivot word.
 
-    Returns (basis_index, rows) where each row is
-    (pivot_column, {column: coef}, {preimage_word: coef}) and rows are in
-    reduced echelon form with respect to the canonical column order.  Keyed
+    The T-images of the slice's preimage words are row-reduced by `_reduce`
+    / `_insert_row` into reduced echelon form in the canonical column order:
+    each row is 1 at its pivot and 0 at every other pivot.  The row of pivot
+    word u is stored as ``entries[u] = (column, den, h, c)``: u's column
+    index, and what one unit of u leaves in h (the row's other columns,
+    negated) and in C (the row's preimage), each as ``((word, int), ...)``
+    numerators over ``den``, the least common denominator of the row.  Keyed
     by the declared generators, so systems declared alike share entries.
     """
     species, declared = signature
@@ -696,7 +701,16 @@ def _slice_reduction(signature, profile: Tuple[Tuple[str, int, int], ...], total
         _reduce(rows, vec, combo)
         if vec:
             _insert_row(rows, vec, combo)
-    return basis_index, tuple(rows)
+    entries = {}
+    for piv, vec, combo in rows:
+        del vec[piv]
+        den = math.lcm(*[c.denominator for c in vec.values()], *[c.denominator for c in combo.values()])
+        entries[basis[piv]] = (
+            piv, den,
+            tuple([(basis[i], -c.numerator * (den // c.denominator)) for i, c in vec.items()]),
+            tuple([(w, c.numerator * (den // c.denominator)) for w, c in combo.items()]),
+        )
+    return entries
 
 
 def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
@@ -704,9 +718,14 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
 
     The complement is determined per graded slice by exact row reduction of
     the T-image against the canonical monomial order, so the decomposition
-    is deterministic and h vanishes iff p is a total z-derivative.  h lists
-    its terms in canonical order, which every normal form inherits.
-    Raises ValueError if p has a constant term.
+    is deterministic and h vanishes iff p is a total z-derivative.  Since
+    the cached rows are in reduced echelon form, reducing p only adds, for
+    each pivot word that p holds, its coefficient in p times that word's
+    integer entry (`_slice_reduction`), in pivot order; p's other words
+    pass to h.  The sums run in integer numerators (`_IntSum`), with one
+    bucket per slice for C, so C lists its words in first-seen order slice
+    by slice, and h lists its terms in canonical order, which every normal
+    form inherits.  Raises ValueError if p has a constant term.
     """
     if p.constant_part():
         raise ValueError("ibp_decompose requires an expression without constant term")
@@ -716,18 +735,30 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
         key = (_word_profile(word), sum(dg.dz for dg in word), lam)
         groups.setdefault(key, {})[word] = c
 
+    acc = _IntSum()  # buckets (None, lam) hold h, (slice number, lam) hold C
+    for g, ((profile, dzsum, lam), vec) in enumerate(groups.items()):
+        entries = _slice_reduction(sys_.signature, profile, dzsum)
+        pivots = []
+        for w, c in vec.items():
+            e = entries.get(w)
+            if e is None:
+                acc.add((None, lam), ((w, 1),), c.numerator, c.denominator)
+            else:
+                pivots.append((e, c))
+        pivots.sort(key=lambda ec: ec[0][0])
+        for (_, den, h, cw), c in pivots:
+            acc.add((None, lam), h, c.numerator, c.denominator * den)
+            acc.add((g, lam), cw, c.numerator, c.denominator * den)
     c_terms: Dict[TermKey, Fraction] = {}
-    h_terms: Dict[TermKey, Fraction] = {}
-    for (profile, dzsum, lam), vec_by_word in groups.items():
-        basis_index, rows = _slice_reduction(sys_.signature, profile, dzsum)
-        basis = list(basis_index)
-        vec = {basis_index[w]: c for w, c in vec_by_word.items()}
-        combo: Dict[Word, Fraction] = {}
-        _reduce(rows, vec, combo)  # now p = T(-combo) + vec on this slice
-        c_terms.update({(w, lam): -c for w, c in combo.items()})
-        h_terms.update({(basis[i], lam): c for i, c in vec.items()})
-    h = sorted(h_terms.items(), key=lambda kv: (_word_order(kv[0][0]), kv[0][1]))
-    return DiffPoly(sys_, c_terms), DiffPoly(sys_, dict(h))
+    h_terms: List[Tuple[TermKey, Fraction]] = []
+    for (g, lam), nums in acc.buckets.items():
+        out = [((w, lam), Fraction(n, acc.den)) for w, n in nums.items() if n]
+        if g is None:
+            h_terms += out
+        else:
+            c_terms.update(out)
+    h_terms.sort(key=lambda kv: (_word_order(kv[0][0]), kv[0][1]))
+    return DiffPoly(sys_, c_terms), DiffPoly(sys_, dict(h_terms))
 
 
 class Derivation:

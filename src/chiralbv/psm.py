@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import (Derivation, DerivedGenerator, DiffPoly, Generator, Scalar, System, _add_scaled, _json_int,
-                      _poly, _sort_word)
+from .algebra import (Derivation, DerivedGenerator, DiffPoly, Generator, Scalar, System, _add_scaled, _integral,
+                      _IntSum, _json_int, _poly, _sort_word)
 from .vertex import ContractionTable, ModeElement, mc_residual
 
 __all__ = [
@@ -86,23 +86,22 @@ class PoissonBivector:
         return {e: -c for e, c in self.entries.get((j, i), {}).items()}
 
     def jacobi_obstruction(self) -> Dict[Tuple[int, int, int], PolyDict]:
-        """Schouten component sum_l (P^{il} d_l P^{jk} + cyclic) per i<j<k."""
-        out = {}
+        """Schouten component sum_l (P^{il} d_l P^{jk} + cyclic) per i<j<k,
+        summed in integer numerators (`algebra._IntSum`)."""
         n = self.dim
-        comp = [[self.component(i, j) for j in range(n)] for i in range(n)]
+        comp = [[_integral(self.component(i, j)) for j in range(n)] for i in range(n)]
+        acc = _IntSum()
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc: PolyDict = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for l in range(n):
-                            d = _poly_diff(comp[b][c], l) if comp[a][l] else None
+                            (pal, den_al), (pbc, den_bc) = comp[a][l], comp[b][c]
+                            d = _poly_diff(pbc, l) if pal else None
                             if d:
-                                _add_scaled(acc, _poly_mul(comp[a][l], d))
-                    acc = {e: v for e, v in acc.items() if v != 0}
-                    if acc:
-                        out[(i, j, k)] = acc
-        return out
+                                acc.add((i, j, k), _poly_mul(pal, d).items(), 1, den_al * den_bc)
+        out = {ijk: {e: Fraction(v, acc.den) for e, v in nums.items() if v} for ijk, nums in acc.buckets.items()}
+        return {ijk: poly for ijk, poly in out.items() if poly}
 
     def is_jacobi(self) -> bool:
         return not self.jacobi_obstruction()

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -451,8 +452,9 @@ def _ibp_oracle(p):
 
 
 def test_ibp_matches_former_elimination():
-    """The shared eliminator gives the former rows and (C, h): C in the same
-    term order, h in canonical order, which every normal form inherits."""
+    """The shared eliminator gives the former rows, as per-pivot integer
+    entries, and (C, h): C in the same term order, h in canonical order,
+    which every normal form inherits."""
     from chiralbv.algebra import _slice_reduction, _word_profile
     from chiralbv.psm import build_psm, so3_bivector
     from chiralbv.vertex import make_bcov
@@ -473,8 +475,133 @@ def test_ibp_matches_former_elimination():
         for word, _ in p._terms:
             slices[(p.system, _word_profile(word), sum(dg.dz for dg in word))] = None
     for sys_, profile, dzsum in slices:
-        assert _slice_reduction(sys_.signature, profile, dzsum)[1] == _slice_reduction_oracle(sys_, profile, dzsum)[1]
-    assert sum(len(_slice_reduction(s.signature, pr, dz)[1]) > 1 for s, pr, dz in slices) > 50
+        entries = _slice_reduction(sys_.signature, profile, dzsum)
+        basis_index, rows = _slice_reduction_oracle(sys_, profile, dzsum)
+        basis = list(basis_index)
+        assert list(entries) == [basis[piv] for piv, _, _ in rows]
+        for piv, rvec, rcombo in rows:
+            column, den, h, c = entries[basis[piv]]
+            assert column == piv and rvec[piv] == 1
+            assert [(w, Fraction(n, den)) for w, n in h] == [(basis[i], -v) for i, v in rvec.items() if i != piv]
+            assert [(w, Fraction(n, den)) for w, n in c] == list(rcombo.items())
+        # every pivot word, listed against column order: C still follows pivot order
+        p = DiffPoly(sys_, {(w, 0): Fraction(1) for w in reversed(list(entries))})
+        assert list(ibp_decompose(p)[0]._terms.items()) == list(_ibp_oracle(p)[0]._terms.items())
+    assert sum(len(_slice_reduction(s.signature, pr, dz)) > 1 for s, pr, dz in slices) > 50
+
+
+def test_slice_entries_hold_int_numerators():
+    """Every cached pivot entry is nonzero int numerators over its least
+    positive int denominator, h on the slice's words, C one z-derivative down."""
+    from chiralbv.algebra import _slice_reduction, _word_profile
+    from chiralbv.vertex import make_bcov
+
+    rng = random.Random(89)
+    systems = [make_mixed_system()[0], make_bcov(3)[0]]
+    slices = {}
+    for n in range(40):
+        p = random_diffpoly(rng, systems[n % 2], max_terms=4, max_degree=4, max_dz=3, lam_range=(0, 1))
+        ibp_decompose(p.filter(lambda w, l: bool(w)))
+        for word, _ in p._terms:
+            if word:
+                slices[(p.system, _word_profile(word), sum(dg.dz for dg in word))] = None
+    entries_seen = 0
+    for sys_, profile, dzsum in slices:
+        for pivot, (column, den, h, c) in _slice_reduction(sys_.signature, profile, dzsum).items():
+            nums = [n for _, n in h + c]
+            assert type(column) is int and type(den) is int and den > 0
+            assert all(type(n) is int and n for n in nums) and math.gcd(den, *nums) == 1
+            assert all(sum(dg.dz for dg in w) == dzsum for w, _ in ((pivot, 1),) + h)
+            assert c and all(sum(dg.dz for dg in w) == dzsum - 1 for w, _ in c)
+            entries_seen += 1
+    assert entries_seen > 200
+
+
+def _mode_normal_form_oracle(X):
+    """mode_normal_form on the former Fraction elimination (`_ibp_oracle`),
+    with h in canonical order."""
+    from chiralbv.algebra import _poly
+    from chiralbv.vertex import ModeElement
+
+    sys_ = X.system
+    pending = {k: dict(p._terms) for k, p in X.parts.items()}
+    result = {}
+    while pending:
+        k = max(pending)
+        p = _poly(sys_, pending.pop(k))
+        out = result.setdefault(k, {})
+        if p.constant_part():
+            if k == -1:
+                out.update(sorted((((), l), c) for l, c in p.constant_part().items()))
+            p = p.filter(lambda w, l: bool(w))
+        if p.is_zero():
+            continue
+        C, h = _ibp_oracle(p)
+        _add_scaled(out, {(w, sc.lam): sc.coef for w, sc in h.terms()})
+        if k != 0 and not C.is_zero():
+            _add_scaled(pending.setdefault(k - 1, {}), C._terms, -k)
+    return ModeElement(sys_, {k: _poly(sys_, terms) for k, terms in result.items()})
+
+
+def test_normal_forms_match_former_elimination():
+    """mode_normal_form equals the normal form on the former elimination in
+    value, term order and coefficient type, on W-brackets at nonzero mode
+    powers (C feeds z^{k-1}), PSM residuals, the (4,4) BCOV raw residual and
+    mixed-system modes with z^-1 constants."""
+    from chiralbv.bcov import bcov_mc_report
+    from chiralbv.correspondence import (PHI_BRACKET_ORIENTATION, BackgroundSubstitution, _windowed_zero_product,
+                                         phi, w_generator)
+    from chiralbv.moyal import fedosov_solve
+    from chiralbv.psm import build_psm, non_jacobi_bivector, psm_delta, so3_bivector
+    from chiralbv.sampling import random_mode_element
+    from chiralbv.vertex import (ModeElement, _pairs, _product_sum, _split_terms, delta_bcov, make_bcov,
+                                 make_heisenberg, mc_residual, mode_bracket, mode_normal_form)
+
+    def items(X):
+        return [(k, list(p._terms.items())) for k, p in X.parts.items()]
+
+    checked = {"w": 0, "psm": 0, "bcov": 0, "mixed": 0}
+
+    def check(kind, X):
+        got = mode_normal_form(X)
+        assert items(got) == items(_mode_normal_form_oracle(X)), kind
+        assert all(type(c) is Fraction for p in got.parts.values() for c in p._terms.values())
+        checked[kind] += len(got.parts) > 1 or any(p.num_terms() > 1 for p in got.parts.values())
+        return got
+
+    rng = random.Random(97)
+    fed = 0
+    hsys, htbl = make_heisenberg(0)
+    W = {k: w_generator(k, hsys).scale(Fraction(1, k)) for k in range(2, 6)}
+    for j, k in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4)]:
+        m, n = rng.choice((-1, 1, 2)), rng.choice((-2, 0, 1))
+        X = ModeElement(hsys, {m: W[j].scale(Fraction(rng.randint(1, 9), rng.randint(1, 6)))})
+        br = mode_bracket(X, ModeElement(hsys, {n: W[k]}), htbl)
+        fed += not check("w", br).is_zero() and min(mode_normal_form(br).parts) < min(br.parts)
+
+    for P in (so3_bivector(), non_jacobi_bivector()):
+        for D in (3, 4, 5):
+            system, tbl, I = build_psm(P, D)
+            delta = psm_delta(system, P.dim)
+            br = _product_sum(system, tbl, 0, _pairs(_split_terms(I, tbl))).scale(Scalar(Fraction(1, 2), -1))
+            got = check("psm", ModeElement.zero_mode(delta(I)) + ModeElement.zero_mode(br))
+            assert items(got) == items(mc_residual(I, delta, tbl))
+
+    bsys, btbl = make_bcov(4)
+    I = phi(fedosov_solve(4).j(), bsys, BackgroundSubstitution(kmax=4), wmax=4).part(0)
+    raw = delta_bcov(bsys)(I) + _windowed_zero_product(I, None, btbl, 4).scale(Fraction(PHI_BRACKET_ORIENTATION, 2))
+    got = check("bcov", ModeElement.zero_mode(raw))
+    assert list(got.part(0)._terms.items()) == list(bcov_mc_report(4, 4).raw_residual._terms.items())
+
+    msys, _ = make_mixed_system()
+    for _ in range(60):
+        X = random_mode_element(rng, msys, zpow_range=(-1, 2), max_terms=4, max_degree=3, max_dz=2,
+                                lam_range=(0, 1))
+        consts = {k: msys.one(rng.choice((1, -2, Fraction(1, 3))), lam=rng.randint(0, 1)) for k in (-1, 0)}
+        X = X + ModeElement(msys, consts)
+        check("mixed", X)
+        check("mixed", ModeElement(msys, {k: DiffPoly(msys, dict(reversed(p._terms.items()))) for k, p in X.parts.items()}))
+    assert fed > 2 and checked["w"] > 5 and checked["psm"] > 2 and checked["bcov"] and checked["mixed"] > 30, checked
 
 
 def test_multisets_match_brute_force_in_lexicographic_order():

@@ -6,6 +6,8 @@ import pytest
 from chiralbv.algebra import DiffPoly, _add_scaled, _poly
 from chiralbv.psm import (
     PoissonBivector,
+    _poly_diff,
+    _poly_mul,
     build_psm,
     constant_bivector,
     non_jacobi_bivector,
@@ -249,3 +251,49 @@ def test_leibniz_builder_matches_superfield_oracle():
             assert all(list(got.parts[k]._terms.items()) == list(expect.parts[k]._terms.items()) for k in got.parts)
             nonzero += not got.is_zero()
     assert built > 20 and nonzero > 10
+
+
+def _jacobi_obstruction_oracle(P):
+    """The former jacobi_obstruction, summed in Fractions."""
+    n = P.dim
+    comp = [[P.component(i, j) for j in range(n)] for i in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l in range(n):
+                        d = _poly_diff(comp[b][c], l) if comp[a][l] else None
+                        if d:
+                            _add_scaled(acc, _poly_mul(comp[a][l], d))
+                acc = {e: v for e, v in acc.items() if v != 0}
+                if acc:
+                    out[(i, j, k)] = acc
+    return out
+
+
+def test_jacobi_obstruction_matches_fraction_sums():
+    """The integer-numerator obstruction equals the Fraction sums in value,
+    key order and coefficient type, and is_jacobi keeps its verdicts."""
+    rng = random.Random(107)
+    bivectors = [_log_canonical(rng, dim, linear) for dim in (3, 4, 5) for linear in (False, True)]
+    for _ in range(30):
+        dim = rng.randint(2, 4)
+        entries = {}
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if rng.random() < 0.7:
+                    entries[(i, j)] = {tuple(rng.randint(0, 2) for _ in range(dim)):
+                                       Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)}
+        bivectors.append(PoissonBivector(dim, entries))
+    bivectors += [so3_bivector(), non_jacobi_bivector(), constant_bivector(4)]
+    verdicts = set()
+    for P in bivectors:
+        got, expect = P.jacobi_obstruction(), _jacobi_obstruction_oracle(P)
+        assert [(ijk, list(poly.items())) for ijk, poly in got.items()] == \
+            [(ijk, list(poly.items())) for ijk, poly in expect.items()]
+        assert all(type(c) is Fraction for poly in got.values() for c in poly.values())
+        assert P.is_jacobi() == (not expect)
+        verdicts.add(P.is_jacobi())
+    assert verdicts == {True, False}

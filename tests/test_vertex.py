@@ -408,7 +408,25 @@ def test_shift_multisets_keep_the_former_order():
             assert [entry[0] for entry in _shift_multisets(e, budget)] == list(nondecreasing(e, budget, 0)), (e, budget)
 
 
+# What `import chiralbv, chiralbv.cli` loads, taken in an interpreter started
+# with -S; a run with site's preloads adds a subset of it.
+IMPORTED_MODULES = frozenset("""
+    chiralbv chiralbv.algebra chiralbv.bcov chiralbv.cli chiralbv.correspondence chiralbv.moyal
+    chiralbv.properties chiralbv.psm chiralbv.sampling chiralbv.vertex
+    __future__ _bisect _collections _collections_abc _decimal _functools _heapq _json _operator _queue
+    _random _sha512 _sre _stat _string _typing _weakrefset argparse atexit bisect collections
+    collections.abc concurrent concurrent.futures concurrent.futures._base concurrent.futures.thread
+    contextlib copyreg decimal enum fractions functools genericpath gettext heapq itertools json
+    json.decoder json.encoder json.scanner keyword linecache logging math numbers operator os os.path
+    posixpath queue random re re._casefix re._compiler re._constants re._parser reprlib stat string
+    textwrap threading token tokenize traceback types typing typing.io typing.re warnings weakref
+""".split())
+
+
 def test_import_leaves_scipy_out():
+    """The package and its CLI import no module beyond IMPORTED_MODULES (every
+    new one costs set-up time on each fresh interpreter); scipy loads on first
+    use of `renorm` only."""
     import os
     import subprocess
     import sys
@@ -421,6 +439,8 @@ def test_import_leaves_scipy_out():
         "import sys; before = set(sys.modules); import chiralbv, chiralbv.cli; "
         "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules; "
         "assert not {'dataclasses', 'inspect'} & (set(sys.modules) - before), 'record idiom pulls in dataclasses'; "
+        f"new = sorted(set(sys.modules) - before - {set(IMPORTED_MODULES)!r}); "
+        "assert not new, f'import chiralbv, chiralbv.cli now loads {new}'; "
         "from chiralbv import ordered_integral; assert 'scipy' in sys.modules"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
