@@ -15,6 +15,7 @@ function, so expressions can be shared freely across threads.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -441,14 +442,13 @@ class DiffPoly:
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         return self.mul(other)
 
-    def mul(self, other: "DiffPoly", max_degree: Optional[int] = None) -> "DiffPoly":
-        """Graded product; terms above ``max_degree`` are dropped when set."""
+    def mul(self, other: "DiffPoly") -> "DiffPoly":
+        """Graded product."""
         acc: Dict[TermKey, Fraction] = {}
-        self._mul_into(acc, other, max_degree=max_degree)
+        self._mul_into(acc, other)
         return _poly(self.system, acc)
 
-    def _mul_into(self, acc: Dict[TermKey, Fraction], other: "DiffPoly", coef=1,
-                  max_degree: Optional[int] = None) -> None:
+    def _mul_into(self, acc: Dict[TermKey, Fraction], other: "DiffPoly", coef=1) -> None:
         """acc += coef * (self * other), accumulated as in ``_add_scaled``."""
         if self.system is not other.system:
             raise ValueError("expressions belong to different systems")
@@ -457,8 +457,6 @@ class DiffPoly:
             if coef != 1:
                 c1 = coef * c1
             for (w2, l2), c2 in other._terms.items():
-                if max_degree is not None and len(w1) + len(w2) > max_degree:
-                    continue
                 sw = _sort_word(sys_, w1 + w2)
                 if sw is None:
                     continue
@@ -644,88 +642,95 @@ def _axpy(dst: Dict, src: Dict, f) -> None:
             dst.pop(k, None)
 
 
-def _reduce(rows, vec: Dict, combo: Dict) -> None:
-    """Eliminate ``vec`` against reduced rows ``(pivot, vec, combo)`` in place.
+def _echelon(images: Dict, columns: Sequence) -> Dict:
+    """The reduced echelon form of ``images``, a dict from preimage to its
+    image ``{column: Fraction}``, as one integer entry per pivot column.
 
-    ``combo`` tracks the preimage: if every row's vec is the image of its
-    combo, then ``vec`` changes by the image of the change of ``combo``.
+    Each image, in preimage order, is reduced against the rows so far, kept
+    in pivot order (a row's pivot is its first column in ``columns``
+    order); an image already spanned is dropped, any other becomes a row,
+    scaled to 1 at its pivot, with the preimages it is the image of.  One
+    back-substitution then clears every pivot from the other rows.  The row
+    of pivot column u is ``entries[u] = (index, den, h, c)``: u's index in
+    ``columns``, and what one unit of u leaves in h (the row's other
+    columns, negated) and in C (the row's preimages), each as
+    ``((key, int), ...)`` numerators over ``den``, the least common
+    denominator of the row, h in column order and C in preimage order.
     """
-    for piv, rvec, rcombo in rows:
-        f = vec.get(piv)
-        if f:
-            _axpy(vec, rvec, f)
-            _axpy(combo, rcombo, f)
+    def clear(vec, combo, rows):
+        for piv, rvec, rcombo in rows:
+            f = vec.get(piv)
+            if f:
+                _axpy(vec, rvec, f)
+                _axpy(combo, rcombo, f)
 
-
-def _insert_row(rows: list, vec: Dict, combo: Dict) -> None:
-    """Add a reduced nonzero ``vec`` to ``rows``: scale its smallest key (the
-    pivot) to 1, clear that pivot from the other rows and keep the rows in
-    pivot order, so they stay in reduced echelon form."""
-    piv = min(vec)
-    f = vec[piv]
-    vec = {k: c / f for k, c in vec.items()}
-    combo = {k: c / f for k, c in combo.items()}
-    for _, ovec, ocombo in rows:
-        g = ovec.get(piv)
-        if g:
-            _axpy(ovec, vec, g)
-            _axpy(ocombo, combo, g)
-    rows.append((piv, vec, combo))
-    rows.sort(key=lambda r: r[0])
-
-
-@lru_cache(maxsize=1024)
-def _slice_reduction(signature, profile: Tuple[Tuple[str, int, int], ...], total_dz: int):
-    """Image of T on a graded slice of the system declared by ``signature``,
-    as one integer entry per pivot word.
-
-    The T-images of the slice's preimage words are row-reduced by `_reduce`
-    / `_insert_row` into reduced echelon form in the canonical column order:
-    each row is 1 at its pivot and 0 at every other pivot.  The row of pivot
-    word u is stored as ``entries[u] = (column, den, h, c)``: u's column
-    index, and what one unit of u leaves in h (the row's other columns,
-    negated) and in C (the row's preimage), each as ``((word, int), ...)``
-    numerators over ``den``, the least common denominator of the row.  Keyed
-    by the declared generators, so systems declared alike share entries.
-    """
-    species, declared = signature
-    system = System(species, (Generator(n, i, p, d, Fraction(num, den)) for n, i, p, d, num, den in declared))
-    basis = _enumerate_slice(system, profile, total_dz)
-    basis_index = {w: i for i, w in enumerate(basis)}
-    pre_basis = _enumerate_slice(system, profile, total_dz - 1) if total_dz > 0 else []
-
-    rows: List[Tuple[int, Dict[int, Fraction], Dict[Word, Fraction]]] = []
-    for pw in pre_basis:
-        vec = {basis_index[w]: c for (w, _), c in system.monomial(pw).dz()._terms.items()}
-        combo: Dict[Word, Fraction] = {pw: Fraction(1)}
-        _reduce(rows, vec, combo)
+    index, preimages, rows = {k: i for i, k in enumerate(columns)}, list(images), []
+    for j, image in enumerate(images.values()):
+        vec, combo = {index[k]: c for k, c in image.items()}, {j: Fraction(1)}
+        clear(vec, combo, rows)
         if vec:
-            _insert_row(rows, vec, combo)
+            piv = min(vec)
+            f = vec[piv]
+            bisect.insort(rows, (piv, {k: c / f for k, c in vec.items()}, {k: c / f for k, c in combo.items()}),
+                          key=lambda r: r[0])
+    for i in range(len(rows) - 2, -1, -1):
+        clear(rows[i][1], rows[i][2], rows[i + 1:])
     entries = {}
     for piv, vec, combo in rows:
         del vec[piv]
         den = math.lcm(*[c.denominator for c in vec.values()], *[c.denominator for c in combo.values()])
-        entries[basis[piv]] = (
+        entries[columns[piv]] = (
             piv, den,
-            tuple([(basis[i], -c.numerator * (den // c.denominator)) for i, c in vec.items()]),
-            tuple([(w, c.numerator * (den // c.denominator)) for w, c in combo.items()]),
+            tuple([(columns[i], -vec[i].numerator * (den // vec[i].denominator)) for i in sorted(vec)]),
+            tuple([(preimages[j], combo[j].numerator * (den // combo[j].denominator)) for j in sorted(combo)]),
         )
     return entries
+
+
+def _project(acc: _IntSum, entries: Dict, vec: Dict, h_bucket, c_bucket) -> None:
+    """Split ``vec`` as image(C) + h against `_echelon` entries, adding h and C
+    to two buckets of ``acc``.  Since every row is 1 at its pivot and 0 at
+    the other pivots, this adds, in pivot order, each pivot column's entry
+    scaled by its coefficient in vec; vec's other columns pass to h."""
+    pivots = []
+    for w, c in vec.items():
+        e = entries.get(w)
+        if e is None:
+            acc.add(h_bucket, ((w, 1),), c.numerator, c.denominator)
+        else:
+            pivots.append((e, c))
+    pivots.sort(key=lambda ec: ec[0][0])
+    for (_, den, h, cw), c in pivots:
+        acc.add(h_bucket, h, c.numerator, c.denominator * den)
+        acc.add(c_bucket, cw, c.numerator, c.denominator * den)
+
+
+@lru_cache(maxsize=1024)
+def _slice_reduction(signature, profile: Tuple[Tuple[str, int, int], ...], total_dz: int):
+    """`_echelon` entries of the image of T on a graded slice of the system
+    declared by ``signature``, with the slice's words as columns in
+    canonical order and the words one z-derivative down as preimages.
+    Keyed by the declared generators, so systems declared alike share
+    entries.
+    """
+    species, declared = signature
+    system = System(species, (Generator(n, i, p, d, Fraction(num, den)) for n, i, p, d, num, den in declared))
+    pre_basis = _enumerate_slice(system, profile, total_dz - 1) if total_dz > 0 else []
+    images = {pw: {w: c for (w, _), c in system.monomial(pw).dz()._terms.items()} for pw in pre_basis}
+    return _echelon(images, _enumerate_slice(system, profile, total_dz))
 
 
 def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
     """Decompose p = T(C) + h with h in a fixed complement of im T.
 
     The complement is determined per graded slice by exact row reduction of
-    the T-image against the canonical monomial order, so the decomposition
-    is deterministic and h vanishes iff p is a total z-derivative.  Since
-    the cached rows are in reduced echelon form, reducing p only adds, for
-    each pivot word that p holds, its coefficient in p times that word's
-    integer entry (`_slice_reduction`), in pivot order; p's other words
-    pass to h.  The sums run in integer numerators (`_IntSum`), with one
-    bucket per slice for C, so C lists its words in first-seen order slice
-    by slice, and h lists its terms in canonical order, which every normal
-    form inherits.  Raises ValueError if p has a constant term.
+    the T-image against the canonical monomial order (`_slice_reduction`),
+    so the decomposition is deterministic and h vanishes iff p is a total
+    z-derivative.  Each slice of p is split by `_project` in integer
+    numerators, with one bucket per slice for C, so C lists its words in
+    first-seen order slice by slice, and h lists its terms in canonical
+    order, which every normal form inherits.  Raises ValueError if p has a
+    constant term.
     """
     if p.constant_part():
         raise ValueError("ibp_decompose requires an expression without constant term")
@@ -737,18 +742,7 @@ def ibp_decompose(p: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
 
     acc = _IntSum()  # buckets (None, lam) hold h, (slice number, lam) hold C
     for g, ((profile, dzsum, lam), vec) in enumerate(groups.items()):
-        entries = _slice_reduction(sys_.signature, profile, dzsum)
-        pivots = []
-        for w, c in vec.items():
-            e = entries.get(w)
-            if e is None:
-                acc.add((None, lam), ((w, 1),), c.numerator, c.denominator)
-            else:
-                pivots.append((e, c))
-        pivots.sort(key=lambda ec: ec[0][0])
-        for (_, den, h, cw), c in pivots:
-            acc.add((None, lam), h, c.numerator, c.denominator * den)
-            acc.add((g, lam), cw, c.numerator, c.denominator * den)
+        _project(acc, _slice_reduction(sys_.signature, profile, dzsum), vec, (None, lam), (g, lam))
     c_terms: Dict[TermKey, Fraction] = {}
     h_terms: List[Tuple[TermKey, Fraction]] = []
     for (g, lam), nums in acc.buckets.items():

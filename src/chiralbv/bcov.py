@@ -24,11 +24,11 @@ from .algebra import (
     DiffPoly,
     Scalar,
     System,
+    _echelon,
     _enumerate_slice,
-    _insert_row,
+    _IntSum,
     _multisets,
-    _poly,
-    _reduce,
+    _project,
     _word_profile,
 )
 from .vertex import (
@@ -224,11 +224,12 @@ def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[D
     replace one dz-carrying eta_l factor of a residual term by the b_{l+1}
     preimage.  The rest of every slice that delta maps into a residual
     term's slice follows (the term's factors with one eta_l turned into
-    b_{l+1}, one z-derivative fewer), so the candidates span every
-    preimage.  Their images are reduced in candidate order; a candidate
-    whose image is already spanned is dropped, and the residual reduced
-    against the rest gives the unique solution on them.  Returns None when
-    the residual is not delta-exact in the central sector.
+    b_{l+1}, one z-derivative fewer), each slice enumerated once, so the
+    candidates span every preimage.  Their images are reduced in candidate
+    order by `_echelon`; a candidate whose image is already spanned is
+    dropped, and the residual split against the rest by `_project` gives
+    the unique solution on them, in canonical term order.  Returns None
+    when the residual is not delta-exact in the central sector.
     """
     delta = delta_bcov(system)
 
@@ -236,7 +237,7 @@ def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[D
         return dict(mode_normal_form(ModeElement.zero_mode(p)).part(0)._terms)
 
     candidates: Dict = {}  # term keys in first-seen order
-    slices: Dict = {}  # the rest of the preimage slices, appended after them
+    slices: Dict = {}  # preimage slices (profile, total dz, lam); their words follow the above
     for word, sc in residual.terms():
         total_dz = sum(dg.dz for dg in word)
         for i, dg in enumerate(word):
@@ -246,21 +247,20 @@ def _solve_central_counterterm(system: System, residual: DiffPoly) -> Optional[D
                 cand = word[:i] + (DerivedGenerator("b", dg.index + 1, dg.dz - 1, 0),) + word[i + 1 :]
                 candidates.update(dict.fromkeys(system.monomial(cand, lam=sc.lam)._terms))
             profile = _word_profile(word[:i] + (DerivedGenerator("b", dg.index + 1, 0, dg.dt),) + word[i + 1 :])
-            slices.update(dict.fromkeys((w, sc.lam) for w in _enumerate_slice(system, profile, total_dz - 1)))
-    candidates.update(slices)
+            slices[profile, total_dz - 1, sc.lam] = None
+    for profile, dz, lam in slices:
+        candidates.update(dict.fromkeys((w, lam) for w in _enumerate_slice(system, profile, dz)))
     if not candidates:
         return None if nf_terms(residual) else system.zero()
 
-    rows: list = []
-    for key in candidates:
-        vec, combo = nf_terms(delta(DiffPoly(system, {key: Fraction(1)}))), {key: Fraction(1)}
-        _reduce(rows, vec, combo)
-        if vec:
-            _insert_row(rows, vec, combo)
-    # residual + delta(x) reduces to what is left of the residual
-    vec, x = nf_terms(residual), {}
-    _reduce(rows, vec, x)
-    return None if vec else _poly(system, x)
+    images = {key: nf_terms(delta(DiffPoly(system, {key: Fraction(1)}))) for key in candidates}
+    entries = _echelon(images, sorted({k for image in images.values() for k in image}))
+    # residual + delta(x) is zero iff the residual splits with h = 0, and then x = -C
+    acc = _IntSum()
+    _project(acc, entries, nf_terms(residual), "h", "C")
+    if any(acc.buckets.get("h", {}).values()):
+        return None
+    return DiffPoly(system, {(w, sc.lam): -sc.coef for w, sc in acc.poly(system, "C").terms()})
 
 
 def bcov_mc_report(tmax: int, wmax: int, solution: Optional[FedosovSolution] = None) -> QuantumMCReport:

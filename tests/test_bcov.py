@@ -287,10 +287,15 @@ def test_self_bracket_wick_misses_on_weight_4_window():
 
 def test_quantum_mc_repaired_on_weight_5_window():
     """From weight 5 on, the counterterm needs preimages that no single
-    eta_l -> b_{l+1} replacement of a residual term reaches."""
+    eta_l -> b_{l+1} replacement of a residual term reaches.  The raw
+    residual and the counterterm are pinned in term order; the counterterm
+    is in canonical order, which no change to the row reduction moves."""
     rep = bcov_mc_report(5, 5)
     assert rep.residual_purely_central
     assert rep.repaired_zero
+    assert order_digest(rep.raw_residual) == "ebb87c5e9de2ff1a"
+    assert order_digest(rep.counterterm) == "fb2c8dad2a3061a9"
+    assert list(rep.counterterm._terms.items()) == [((w, sc.lam), sc.coef) for w, sc in rep.counterterm.terms()]
 
 
 @pytest.mark.parametrize("tmax, wmax", [(3, 3), (4, 3)])

@@ -172,7 +172,7 @@ def _eval_poly(system, poly, fields, deg_max):
         term = system.one(coef=c)
         for i, p in enumerate(e):
             for _ in range(p):
-                term = term.mul(fields[i], max_degree=deg_max + 1)
+                term = term.mul(fields[i])
         _add_scaled(acc, term._terms)
     return _poly(system, acc)
 
@@ -192,7 +192,9 @@ def _dz_component(p):
 
 
 def _superfield_interaction(P, system, deg_max):
-    """The former build_psm interaction: superfield products cut at deg_max + 1 factors."""
+    """The former build_psm interaction: superfield products of the monomials
+    of P^ij with degree <= deg_max - 2 (no product of theirs has more than
+    deg_max + 1 factors, the former cut)."""
     phis = [_superfield(system, "phi", "phiw", i) for i in range(P.dim)]
     etas = [_superfield(system, "eta", "etaw", i) for i in range(P.dim)]
     acc = {}
@@ -200,20 +202,20 @@ def _superfield_interaction(P, system, deg_max):
         for j in range(P.dim):
             poly = P.component(i, j)
             if poly:
-                piece = _eval_poly(system, poly, phis, deg_max).mul(etas[i], max_degree=deg_max + 1)
-                piece._mul_into(acc, etas[j], max_degree=deg_max + 1)
+                piece = _eval_poly(system, poly, phis, deg_max).mul(etas[i])
+                piece._mul_into(acc, etas[j])
     return _dz_component(_poly(system, acc))
 
 
 def _superfield_trivector(P, system, deg_max):
-    """The former trivector_functional."""
+    """The former trivector_functional.  Its cut at deg_max + 2 factors kept no
+    dz-carrying term of a degree deg_max - 1 monomial, so these are left out."""
     phis = [_superfield(system, "phi", "phiw", i) for i in range(P.dim)]
     etas = [_superfield(system, "eta", "etaw", i) for i in range(P.dim)]
     acc = {}
     for (i, j, k), poly in P.jacobi_obstruction().items():
-        piece = _eval_poly(system, poly, phis, deg_max + 1)
-        piece = piece.mul(etas[i], max_degree=deg_max + 2).mul(etas[j], max_degree=deg_max + 2)
-        piece._mul_into(acc, etas[k], max_degree=deg_max + 2)
+        piece = _eval_poly(system, poly, phis, deg_max).mul(etas[i]).mul(etas[j])
+        piece._mul_into(acc, etas[k])
     return _dz_component(_poly(system, acc))
 
 
