@@ -8,6 +8,9 @@ orders -- stored in a fixed canonical order with Koszul signs.  The module
 provides the four gradings (cohomology degree, conformal weight, dilaton
 dimension, Hodge weight), total derivatives, graded partial and variational
 (Euler) derivatives, and integration by parts modulo total z-derivatives.
+Every derivation -- T = Dz and Dt, graded partials, delta, delta* and the
+PSM dz-component -- is a `Derivation`, whose Leibniz rule is the one place
+that rewrites a word factor by factor.
 
 All values are immutable after construction and every operation is a pure
 function, so expressions can be shared freely across threads.
@@ -195,6 +198,9 @@ class System:
         self.signature = (species, tuple(sorted(
             (g.name, g.index, g.parity, g.deg, g.cw.numerator, g.cw.denominator) for g in self._gens.values()
         )))
+        # the total derivatives Dz (= T) and Dt, each generator to its one-term image
+        self._dz = Derivation(self, 0, lambda dg: DiffPoly(self, {((dg._replace(dz=dg.dz + 1),), 0): 1}))
+        self._dt = Derivation(self, 0, lambda dg: DiffPoly(self, {((dg._replace(dt=dg.dt + 1),), 0): 1}))
 
     def generators(self) -> List[Generator]:
         return list(self._gens.values())
@@ -470,54 +476,21 @@ class DiffPoly:
 
     # -- derivatives ---------------------------------------------------------
 
-    def _derive(self, slot: str) -> "DiffPoly":
-        sys_ = self.system
-        acc: Dict[TermKey, Fraction] = {}
-        for (word, lam), c in self._terms.items():
-            for i, dg in enumerate(word):
-                if slot == "dz":
-                    ndg = DerivedGenerator(dg.name, dg.index, dg.dz + 1, dg.dt)
-                else:
-                    ndg = DerivedGenerator(dg.name, dg.index, dg.dz, dg.dt + 1)
-                sw = _sort_word(sys_, word[:i] + (ndg,) + word[i + 1 :])
-                if sw is not None:
-                    v = c if sw[1] > 0 else -c
-                    key = (sw[0], lam)
-                    old = acc.get(key)
-                    acc[key] = v if old is None else old + v
-        return _poly(sys_, acc)
-
     def dz(self, n: int = 1) -> "DiffPoly":
-        """Total z-derivative (Leibniz), applied ``n`` times."""
-        p = self
-        for _ in range(n):
-            p = p._derive("dz")
-        return p
+        """Total z-derivative T, applied ``n`` times."""
+        return self.system._dz(self, n)
 
     def dt(self, n: int = 1) -> "DiffPoly":
         """Total t-derivative, for moyal-species systems."""
         if self.system.species != "moyal":
             raise ValueError("t-derivative defined only for moyal-species systems")
-        p = self
-        for _ in range(n):
-            p = p._derive("dt")
-        return p
+        return self.system._dt(self, n)
 
     def partial(self, dg: DerivedGenerator) -> "DiffPoly":
-        """Graded left partial derivative with respect to a derived generator."""
+        """Graded left partial derivative with respect to a derived generator:
+        the derivation of dg's parity sending dg to 1 and every other factor to 0."""
         sys_ = self.system
-        p_dg = sys_.parity(dg)
-        acc: Dict[TermKey, Fraction] = {}
-        for (word, lam), c in self._terms.items():
-            before = 0
-            for i, g in enumerate(word):
-                if g == dg:
-                    v = -c if (p_dg and before % 2) else c
-                    key = (word[:i] + word[i + 1 :], lam)
-                    old = acc.get(key)
-                    acc[key] = v if old is None else old + v
-                before += sys_.parity(g)
-        return _poly(sys_, acc)
+        return Derivation(sys_, sys_.parity(dg), lambda g: sys_.one() if g == dg else sys_.zero())(self)
 
     # -- gradings -------------------------------------------------------------
 
@@ -759,7 +732,10 @@ class Derivation:
     """A graded derivation determined by its values on derived generators.
 
     Each generator's image is computed by ``rule`` once for the life of the
-    derivation, so its memo holds at most one entry per derived generator seen.
+    derivation, so its memo holds at most one entry per derived generator seen;
+    for the total derivatives a `System` holds, that is for the system's life.
+    An image depends only on its generator, so threads sharing a derivation
+    at worst compute one twice and store equal values.
     """
 
     def __init__(self, system: System, parity: int, rule: Callable[[DerivedGenerator], DiffPoly]):
@@ -783,30 +759,41 @@ class Derivation:
 
         return cls(system, parity, rule)
 
-    def __call__(self, p: DiffPoly) -> DiffPoly:
-        return _poly(self.system, self._apply(p._terms))
+    def __call__(self, p: DiffPoly, n: int = 1) -> DiffPoly:
+        """The derivation applied ``n`` times to p."""
+        for _ in range(n):
+            p = _poly(self.system, self._apply(p._terms))
+        return p
 
     def _apply(self, terms: Dict[TermKey, Fraction]) -> Dict[TermKey, Fraction]:
-        """The image of ``terms``, accumulated as in ``_add_scaled``.  Integral
-        image coefficients are kept as ints, so integer input stays integer."""
-        sys_ = self.system
-        images = self._images
+        """The image of ``terms`` by the Leibniz rule, accumulated as in
+        ``_add_scaled``: each factor in turn is replaced by its image, signed
+        (for an odd derivation) by the odd factors before it, and each word
+        is sorted with its Koszul sign.  Integral image coefficients are kept
+        as ints and a unit one is not multiplied in, so integer input stays
+        integer and a Fraction input is not rebuilt; -c is built at most once
+        per term."""
+        sys_, odd = self.system, self.parity
+        gens, images = sys_._gens, self._images
         acc: Dict[TermKey, Fraction] = {}
         for (word, lam), c in terms.items():
-            before = 0
+            signed, s = [c, None], 0  # c and, once needed, -c; s: odd factors so far, mod 2
             for i, dg in enumerate(word):
                 img = images.get(dg)
                 if img is None:
                     img = images[dg] = {k: v.numerator if v.denominator == 1 else v
                                         for k, v in self.rule(dg)._terms.items()}
-                if img:
-                    sc = -c if (self.parity and before % 2) else c
-                    for (iw, il), ic in img.items():
-                        sw = _sort_word(sys_, word[:i] + iw + word[i + 1 :])
-                        if sw is not None:
-                            v = sc * ic if sw[1] > 0 else -(sc * ic)
-                            key = (sw[0], lam + il)
-                            old = acc.get(key)
-                            acc[key] = v if old is None else old + v
-                before += sys_.parity(dg)
+                for (iw, il), ic in img.items():
+                    sw = _sort_word(sys_, word[:i] + iw + word[i + 1 :])
+                    if sw is not None:
+                        v = signed[s ^ (sw[1] < 0)]
+                        if v is None:
+                            v = signed[1] = -c
+                        if ic != 1:
+                            v = v * ic
+                        key = (sw[0], lam + il)
+                        old = acc.get(key)
+                        acc[key] = v if old is None else old + v
+                if odd:
+                    s ^= gens[dg.name, dg.index].parity
         return acc

@@ -163,12 +163,13 @@ def substitute_background(
 def shift_exp_t(tpoly: TPoly, system: System) -> TPoly:
     """Apply exp((1/2) Dz d/dt) to a t-polynomial; exact and finite."""
     acc: Dict[int, dict] = {}
-    for d, p in tpoly.items():
+    for d, q in tpoly.items():
         for n in range(d + 1):
-            q = p.dz(n)._terms
-            if q:
-                falling = Fraction(math.factorial(d), math.factorial(d - n))
-                _add_scaled(acc.setdefault(d - n, {}), q, falling / (Fraction(2) ** n * math.factorial(n)))
+            q = q.dz() if n else q  # Dz^n from Dz^(n-1)
+            if q.is_zero():
+                break
+            falling = Fraction(math.factorial(d), math.factorial(d - n))
+            _add_scaled(acc.setdefault(d - n, {}), q._terms, falling / (Fraction(2) ** n * math.factorial(n)))
     return _tpoly(system, acc)
 
 

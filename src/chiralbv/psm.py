@@ -7,12 +7,11 @@ deg 0).  The propagator (dz - dw)/(z - w) becomes two simple-pole entries,
 phi_i(z) etaw_j(w) ~ -lam/(z-w) and phiw_i(z) eta_j(w) ~ +lam/(z-w).
 
 The interaction is the dz-component of P^{ij}(phi) eta_i eta_j in the
-superfields phi_i + dz phiw_i and eta_i + dz etaw_i, built by the Leibniz
-rule: one factor at a time goes to its dz-component partner, signed by the
-odd factors before it, and each word is sorted with its Koszul sign.  Its
-Maurer-Cartan residual vanishes iff the bivector satisfies the Jacobi
-identity through the truncation degree; multi-contraction sectors vanish
-identically by form degree.
+superfields phi_i + dz phiw_i and eta_i + dz etaw_i: the odd partner
+derivation phi_i -> phiw_i, eta_i -> etaw_i (an `algebra.Derivation`)
+applied to the 0-form words.  Its Maurer-Cartan residual vanishes iff the
+bivector satisfies the Jacobi identity through the truncation degree;
+multi-contraction sectors vanish identically by form degree.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (Derivation, DerivedGenerator, DiffPoly, Generator, Scalar, System, _add_scaled, _integral,
-                      _IntSum, _json_int, _poly, _sort_word)
+                      _IntSum, _json_int, _poly)
 from .vertex import ContractionTable, ModeElement, mc_residual
 
 __all__ = [
@@ -150,34 +149,29 @@ def make_psm_table(system: System, n: int) -> ContractionTable:
     return ContractionTable(system, entries)
 
 
-def _add_dz_part(system: System, acc: dict, poly: PolyDict, etas: Tuple[int, ...], deg_max: int) -> None:
-    """acc += dz-component of poly(phi) eta_{etas[0]} eta_{etas[1]} ..., from
-    the terms of poly of degree <= deg_max - 2.  The partner of a 0-form is
-    named with a trailing w; only the etas are odd, and they follow every phi."""
-    for e, coef in poly.items():
-        if sum(e) + 2 > deg_max:
-            continue
-        zeros = [DerivedGenerator("phi", i, 0, 0) for i, p in enumerate(e) for _ in range(p)]
-        zeros += [DerivedGenerator("eta", i, 0, 0) for i in etas]
-        signed, odd = (coef, -coef), 0
-        for k, g in enumerate(zeros):
-            sw = _sort_word(system, (*zeros[:k], DerivedGenerator(g.name + "w", g.index, 0, 0), *zeros[k + 1 :]))
-            if sw is not None:
-                key, c = (sw[0], 0), signed[odd ^ (sw[1] < 0)]
-                old = acc.get(key)
-                acc[key] = c if old is None else old + c
-            odd ^= g.name == "eta"
+def _dz_part(system: System, pieces, deg_max: int) -> DiffPoly:
+    """dz-component of the sum of poly(phi) eta_{etas[0]} eta_{etas[1]} ...
+    over (poly, etas) in pieces, from the terms of poly of degree <= deg_max - 2:
+    the odd partner derivation (each 0-form to its partner, named with a
+    trailing w) applied to the words of phis, then the etas in the given order."""
+    partner = Derivation(system, 1, lambda dg: DiffPoly(system, {((dg._replace(name=dg.name + "w"),), 0): 1})
+                         if dg.name in ("phi", "eta") else system.zero())
+    words = {}
+    for poly, etas in pieces:
+        for e, coef in poly.items():
+            if sum(e) + 2 <= deg_max:
+                phis = [DerivedGenerator("phi", i, 0, 0) for i, p in enumerate(e) for _ in range(p)]
+                words[(*phis, *[DerivedGenerator("eta", i, 0, 0) for i in etas]), 0] = coef
+    return _poly(system, partner._apply(words))
 
 
 def build_psm(P: PoissonBivector, deg_max: int) -> Tuple[System, ContractionTable, DiffPoly]:
     """Declare the component system, its contraction table, and the
     dz-component of the interaction sum_{i,j} P^{ij}(phi) eta_i eta_j,
     truncated at polynomial degree deg_max."""
-    system, acc = make_psm_system(P.dim), {}
-    for i in range(P.dim):
-        for j in range(P.dim):
-            _add_dz_part(system, acc, P.component(i, j), (i, j), deg_max)
-    return system, make_psm_table(system, P.dim), _poly(system, acc)
+    system, n = make_psm_system(P.dim), P.dim
+    I = _dz_part(system, ((P.component(i, j), (i, j)) for i in range(n) for j in range(n)), deg_max)
+    return system, make_psm_table(system, n), I
 
 
 def psm_delta(system: System, n: int) -> Derivation:
@@ -211,10 +205,7 @@ def trivector_functional(P: PoissonBivector, system: System, deg_max: int) -> Di
     Schouten obstruction T = [P,P]/2, keeping the terms of T of polynomial
     degree <= deg_max - 2; the independent comparison target for non-Jacobi
     controls."""
-    acc: dict = {}
-    for ijk, poly in P.jacobi_obstruction().items():
-        _add_dz_part(system, acc, poly, ijk, deg_max)
-    return _poly(system, acc)
+    return _dz_part(system, ((poly, ijk) for ijk, poly in P.jacobi_obstruction().items()), deg_max)
 
 
 # -- stock bivectors --------------------------------------------------------

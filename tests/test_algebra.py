@@ -294,6 +294,109 @@ def _apply_derivation_oracle(D, p):
     return out
 
 
+def _derive_oracle(p, slot):
+    """The former DiffPoly._derive: one total derivative by a hand-written Leibniz loop."""
+    from chiralbv.algebra import _poly, _sort_word
+
+    sys_ = p.system
+    acc = {}
+    for (word, lam), c in p._terms.items():
+        for i, dg in enumerate(word):
+            if slot == "dz":
+                ndg = DerivedGenerator(dg.name, dg.index, dg.dz + 1, dg.dt)
+            else:
+                ndg = DerivedGenerator(dg.name, dg.index, dg.dz, dg.dt + 1)
+            sw = _sort_word(sys_, word[:i] + (ndg,) + word[i + 1 :])
+            if sw is not None:
+                v = c if sw[1] > 0 else -c
+                key = (sw[0], lam)
+                old = acc.get(key)
+                acc[key] = v if old is None else old + v
+    return _poly(sys_, acc)
+
+
+def _partial_oracle(p, dg):
+    """The former DiffPoly.partial: a hand-written graded left partial derivative."""
+    from chiralbv.algebra import _poly
+
+    sys_ = p.system
+    p_dg = sys_.parity(dg)
+    acc = {}
+    for (word, lam), c in p._terms.items():
+        before = 0
+        for i, g in enumerate(word):
+            if g == dg:
+                v = -c if (p_dg and before % 2) else c
+                key = (word[:i] + word[i + 1 :], lam)
+                old = acc.get(key)
+                acc[key] = v if old is None else old + v
+            before += sys_.parity(g)
+    return _poly(sys_, acc)
+
+
+def _typed_terms(p):
+    """Terms in order, each with its coefficient's type: equal iff value, term order and types agree."""
+    return [(key, type(c).__name__, c) for key, c in p._terms.items()]
+
+
+def test_total_and_partial_derivatives_match_former_loops():
+    """dz, dt and partial, now derivations, equal the former hand-written loops
+    in value, term order and coefficient type: on vertex and moyal systems,
+    with int and Fraction coefficients, for odd and even generators."""
+    from chiralbv.moyal import make_b_system
+
+    rng = random.Random(109)
+    mixed, _ = make_mixed_system()
+    covered = set()
+    for sys_ in (mixed, make_b_system()):
+        for n in range(160):
+            p = random_diffpoly(rng, sys_, max_terms=4, max_degree=4, max_dz=2, max_dt=2, lam_range=(-1, 1))
+            if n % 2:  # integer coefficients, as the Moyal product's derivative chains hold them
+                p = DiffPoly(sys_, {key: int(6 * c) for key, c in p._terms.items()})
+            slots = ("dz", "dt") if sys_.species == "moyal" else ("dz",)
+            for slot in slots:
+                expect = p
+                for k in (1, 2, 3):
+                    expect = _derive_oracle(expect, slot)
+                    assert _typed_terms(getattr(p, slot)(k)) == _typed_terms(expect), (slot, k)
+            for dg in {dg for (word, _) in p._terms for dg in word}:
+                got = p.partial(dg)
+                assert _typed_terms(got) == _typed_terms(_partial_oracle(p, dg)), dg
+                if not got.is_zero():
+                    covered.add((sys_.species, sys_.parity(dg), type(next(iter(got._terms.values()))).__name__))
+    assert len(covered) == 8, covered
+
+
+def test_total_derivative_memo_shared_by_threads():
+    """Threads sharing one System fill its total-derivative memos concurrently
+    and get the images a single thread gets, in value and term order."""
+    import sys
+    import threading
+
+    from chiralbv.moyal import make_b_system
+
+    def inputs(system):
+        rng = random.Random(127)
+        return [random_diffpoly(rng, system, max_terms=4, max_degree=4, max_dz=3, max_dt=3) for _ in range(40)]
+
+    def images(ps):
+        return [list(p.dz(2).dt()._terms.items()) for p in ps]
+
+    expect, shared = images(inputs(make_b_system())), inputs(make_b_system())
+    results, interval = [None] * 8, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda k=k: results.__setitem__(k, images(shared))) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expect] * 8
+
+
 def test_sort_word_matches_oracle_on_repeated_odd_factors():
     from chiralbv.algebra import _sort_word
     from chiralbv.moyal import make_b_system

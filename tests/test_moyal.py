@@ -321,20 +321,22 @@ def test_star_pieces_swap_by_parity(B):
 
 def test_fedosov_solve_work_counts(monkeypatch):
     """Star pieces by parity and one image per derived generator cut the products
-    and total derivatives; delta_inv's eigenvector check keeps every derivation
-    pass, counted at ``_apply``, which every pass enters."""
+    and total derivatives; delta_inv's eigenvector check keeps every odd
+    derivation pass.  Every derivation pass, the total derivatives included,
+    enters ``Derivation._apply``, counted here by the derivation's parity."""
     counts = {}
-    for cls, name in ((DiffPoly, "_mul_into"), (DiffPoly, "_derive"), (Derivation, "_apply")):
+    for cls, name in ((DiffPoly, "_mul_into"), (Derivation, "_apply")):
         def counted(*args, _f=getattr(cls, name), _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
+            key = (_name, args[0].parity) if _name == "_apply" else _name
+            counts[key] = counts.get(key, 0) + 1
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
     sol = fedosov_solve(5)
     delta_inv(sol.j())
     assert counts["_mul_into"] <= 51
-    assert counts["_derive"] <= 174
-    assert counts["_apply"] == 1039
+    assert counts["_apply", 0] <= 174
+    assert counts["_apply", 1] == 1039
 
 
 def _order_digest(polys):

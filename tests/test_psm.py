@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiralbv.algebra import DiffPoly, _add_scaled, _poly
+from chiralbv.algebra import DerivedGenerator, DiffPoly, _add_scaled, _poly, _sort_word
 from chiralbv.psm import (
     PoissonBivector,
     _poly_diff,
@@ -253,6 +253,65 @@ def test_leibniz_builder_matches_superfield_oracle():
             assert all(list(got.parts[k]._terms.items()) == list(expect.parts[k]._terms.items()) for k in got.parts)
             nonzero += not got.is_zero()
     assert built > 20 and nonzero > 10
+
+
+def _add_dz_part_oracle(system, acc, poly, etas, deg_max):
+    """The former Leibniz loop of the PSM builders: acc += dz-component of
+    poly(phi) eta_{etas[0]} eta_{etas[1]} ..., from the terms of degree <= deg_max - 2."""
+    for e, coef in poly.items():
+        if sum(e) + 2 > deg_max:
+            continue
+        zeros = [DerivedGenerator("phi", i, 0, 0) for i, p in enumerate(e) for _ in range(p)]
+        zeros += [DerivedGenerator("eta", i, 0, 0) for i in etas]
+        signed, odd = (coef, -coef), 0
+        for k, g in enumerate(zeros):
+            sw = _sort_word(system, (*zeros[:k], DerivedGenerator(g.name + "w", g.index, 0, 0), *zeros[k + 1 :]))
+            if sw is not None:
+                key, c = (sw[0], 0), signed[odd ^ (sw[1] < 0)]
+                old = acc.get(key)
+                acc[key] = c if old is None else old + c
+            odd ^= g.name == "eta"
+
+
+def _random_bivector(rng, dim):
+    """Seeded entries of degree <= 3 for a few pairs i < j; rarely Poisson."""
+    entries = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if rng.random() < 0.6:
+                poly = {}
+                for _ in range(rng.randint(1, 4)):
+                    e = [0] * dim
+                    for _ in range(rng.randint(0, 3)):
+                        e[rng.randrange(dim)] += 1
+                    poly[tuple(e)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                entries[(i, j)] = poly
+    return PoissonBivector(dim, entries)
+
+
+def test_partner_derivation_matches_former_loop():
+    """build_psm and trivector_functional, which apply the partner derivation,
+    equal the former hand-written loop in value, term order and coefficient type."""
+    rng = random.Random(113)
+    nonzero = [0, 0]
+    for dim in (3, 4, 5):
+        for P in [_random_bivector(rng, dim) for _ in range(3)] + [_log_canonical(rng, dim, True)]:
+            for D in (3, 4, 5, 6):
+                system, _, I = build_psm(P, D)
+                acc = {}
+                for i in range(dim):
+                    for j in range(dim):
+                        _add_dz_part_oracle(system, acc, P.component(i, j), (i, j), D)
+                T, tacc = trivector_functional(P, system, D), {}
+                for ijk, poly in P.jacobi_obstruction().items():
+                    _add_dz_part_oracle(system, tacc, poly, ijk, D)
+                for got, expect in ((I, acc), (T, tacc)):
+                    expect = _poly(system, expect)
+                    assert [(k, type(c), c) for k, c in got._terms.items()] == \
+                        [(k, type(c), c) for k, c in expect._terms.items()], (P.entries, D)
+                nonzero[0] += not I.is_zero()
+                nonzero[1] += not T.is_zero()
+    assert min(nonzero) > 20, nonzero
 
 
 def _jacobi_obstruction_oracle(P):
